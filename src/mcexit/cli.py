@@ -165,23 +165,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             me, weights, data.features, args.n_pass, args.seed, qformat
         )
     else:
-        rows = []
-        taken = []
-        seeds = inference.dataset_seeds(args.seed, len(data))
-        for x, s in zip(data.features, seeds):
-            decision = inference.confidence_exit(
-                me, x, args.threshold, args.exit_mode, weights, args.n_pass, s, qformat
-            )
-            rows.append(decision.probs)
-            taken.append(decision.exit_taken)
-        probs = np.asarray(rows)
-        spent = [
-            flops.flop_main + args.n_pass * sum(flops.per_exit[:k]) for k in taken
-        ]
+        scores = inference.confidence_exit_dataset(
+            me,
+            weights,
+            data.features,
+            args.n_pass,
+            args.seed,
+            args.threshold,
+            args.exit_mode,
+            flops,
+            qformat,
+        )
+        probs = scores.probs
         report["threshold"] = args.threshold
         report["exit_mode"] = args.exit_mode
-        report["mean_exit_taken"] = float(np.mean(taken))
-        report["avg_flops_per_input"] = float(np.mean(spent))
+        report["mean_exit_taken"] = float(np.mean(scores.exits_taken))
+        report["avg_flops_per_input"] = scores.avg_flops_per_input
 
     report["accuracy"] = metrics.accuracy(probs, data.labels)
     report["ece"] = metrics.expected_calibration_error(probs, data.labels, args.n_bins)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -101,6 +101,15 @@ def config_digest(cfg: DropoutConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def stream_key(seed: int, sample_index: int, layer_id: str) -> int:
+    """The 128-bit Philox key of the stream (seed, sample_index, layer_id):
+    blake2b-128 of "seed|sample_index|layer_id", read little-endian."""
+    digest = hashlib.blake2b(
+        f"{int(seed)}|{int(sample_index)}|{layer_id}".encode(), digest_size=16
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
 class RngStream:
     """Counter-based uniform stream keyed by (seed, sample_index, layer_id).
 
@@ -115,11 +124,8 @@ class RngStream:
         self.sample_index = int(sample_index)
         self.layer_id = str(layer_id)
         self.counter = 0
-        key = hashlib.blake2b(
-            f"{self.seed}|{self.sample_index}|{self.layer_id}".encode(),
-            digest_size=16,
-        ).digest()
-        self._gen = np.random.Generator(np.random.Philox(key=int.from_bytes(key, "little")))
+        key = stream_key(self.seed, self.sample_index, self.layer_id)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def uniform(self, shape: tuple[int, ...] | int) -> np.ndarray:
         u = self._gen.random(shape)
@@ -131,6 +137,50 @@ class RngStream:
             f"RngStream(seed={self.seed}, sample_index={self.sample_index}, "
             f"layer_id={self.layer_id!r}, counter={self.counter})"
         )
+
+
+_WORD = (1 << 64) - 1
+
+
+def stream_uniforms(keys: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
+    """Row r holds the first uniforms of the stream with Philox key
+    keys[r], bit for bit what RngStream(...).uniform(shape) returns for
+    the triple that stream_key maps to keys[r].
+
+    One generator is re-keyed per row through the public state setter,
+    which skips the entropy-seeded SeedSequence that every new Philox
+    builds. It stays local to the call, so concurrent calls share nothing.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    out = np.empty((len(keys), *shape))
+    for row, key in zip(out, keys):
+        state["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+        bitgen.state = state
+        gen.random(out=row)
+    return out
+
+
+def _draw_shape(shape: tuple[int, ...], granularity: str) -> tuple[int, ...]:
+    """Uniforms one sample of the given shape needs: one per element, or
+    one per leading-axis channel of a rank-3 tensor."""
+    if granularity == "channel" and len(shape) == 3:
+        return (shape[0], 1, 1)
+    return shape
+
+
+def _check_mcd(keep_rate: float, granularity: str) -> None:
+    if not 0.0 < keep_rate <= 1.0:
+        raise ValueError(f"keep_rate must be in (0, 1], got {keep_rate}")
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity {granularity!r}")
+
+
+def _drop(x: np.ndarray, u: np.ndarray, keep_rate: float, inverted: bool) -> np.ndarray:
+    scale = (1.0 / keep_rate) if inverted else keep_rate
+    out = np.where(u > keep_rate, x.dtype.type(0), x * scale)
+    return out.astype(x.dtype, copy=False)
 
 
 def mcd_forward(
@@ -148,18 +198,26 @@ def mcd_forward(
     tensor so a whole feature map survives or dies together; on rank-1
     tensors it coincides with element granularity.
     """
-    if not 0.0 < keep_rate <= 1.0:
-        raise ValueError(f"keep_rate must be in (0, 1], got {keep_rate}")
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity {granularity!r}")
+    _check_mcd(keep_rate, granularity)
     x = np.asarray(x)
-    if granularity == "channel" and x.ndim == 3:
-        u = rng.uniform((x.shape[0], 1, 1))
-    else:
-        u = rng.uniform(x.shape)
-    scale = (1.0 / keep_rate) if inverted else keep_rate
-    out = np.where(u > keep_rate, x.dtype.type(0), x * scale)
-    return out.astype(x.dtype, copy=False)
+    return _drop(x, rng.uniform(_draw_shape(x.shape, granularity)), keep_rate, inverted)
+
+
+def mcd_forward_batch(
+    x: np.ndarray,
+    keep_rate: float,
+    granularity: str,
+    keys: Sequence[int],
+    inverted: bool = False,
+) -> np.ndarray:
+    """Monte-Carlo dropout on a batch: row r is mcd_forward of x[r] with a
+    fresh stream whose stream_key is keys[r]."""
+    _check_mcd(keep_rate, granularity)
+    x = np.asarray(x)
+    if len(keys) != len(x):
+        raise ValueError(f"{len(keys)} stream keys for {len(x)} rows")
+    u = stream_uniforms(keys, _draw_shape(x.shape[1:], granularity))
+    return _drop(x, u, keep_rate, inverted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,24 +307,35 @@ def masksembles_forward(x: np.ndarray, mask_index: int, masks: MaskSet) -> np.nd
     Rank-3 inputs are masked per channel (the mask broadcasts over the
     spatial axes); rank-1 inputs are masked per element.
     """
-    if not 0 <= mask_index < masks.num_masks:
+    return masksembles_forward_batch(np.asarray(x)[None], [mask_index], masks)[0]
+
+
+def masksembles_forward_batch(
+    x: np.ndarray, mask_indices: Sequence[int], masks: MaskSet
+) -> np.ndarray:
+    """masksembles_forward on a batch: row r gets mask mask_indices[r]."""
+    idx = np.asarray(mask_indices, dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= masks.num_masks)]
+    if bad.size:
         raise ValueError(
-            f"mask_index {mask_index} out of range for {masks.num_masks} masks"
+            f"mask_index {int(bad[0])} out of range for {masks.num_masks} masks"
         )
     x = np.asarray(x)
-    row = masks.masks[mask_index]
-    if x.ndim == 3:
-        if x.shape[0] != masks.feature_count:
+    if len(idx) != len(x):
+        raise ValueError(f"{len(idx)} mask indices for {len(x)} rows")
+    rows = masks.masks[idx]
+    if x.ndim == 4:
+        if x.shape[1] != masks.feature_count:
             raise ValueError(
-                f"mask width {masks.feature_count} does not match channel count {x.shape[0]}"
+                f"mask width {masks.feature_count} does not match channel count {x.shape[1]}"
             )
-        mult = row.reshape(-1, 1, 1)
-    elif x.ndim == 1:
-        if x.shape[0] != masks.feature_count:
+        mult = rows[:, :, None, None]
+    elif x.ndim == 2:
+        if x.shape[1] != masks.feature_count:
             raise ValueError(
-                f"mask width {masks.feature_count} does not match feature count {x.shape[0]}"
+                f"mask width {masks.feature_count} does not match feature count {x.shape[1]}"
             )
-        mult = row
+        mult = rows
     else:
-        raise ValueError(f"masksembles expects rank-1 or rank-3 input, got rank {x.ndim}")
+        raise ValueError(f"masksembles expects rank-1 or rank-3 input, got rank {x.ndim - 1}")
     return (x * mult).astype(x.dtype, copy=False)

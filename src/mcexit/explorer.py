@@ -15,8 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from . import inference, mapping, metrics, netspec, runtime, train
 from .datasets import Dataset, NoiseSpec, dataset_stats, train_test_split
 from .dropout import DropoutConfig, derive_seed
@@ -375,19 +373,19 @@ def evaluate_design_point(
                 me, weights, test_data.features, dp.n_pass, eval_seed, qformat
             )
         else:
-            rows = []
-            spent = 0.0
-            seeds = inference.dataset_seeds(eval_seed, len(test_data))
-            for x, s in zip(test_data.features, seeds):
-                decision = inference.confidence_exit(
-                    me, x, dp.threshold, settings.exit_mode, weights, dp.n_pass, s, qformat
-                )
-                rows.append(decision.probs)
-                spent += flop_report.flop_main + dp.n_pass * sum(
-                    flop_report.per_exit[: decision.exit_taken]
-                )
-            probs = np.asarray(rows)
-            early_fraction = spent / len(test_data) / baseline
+            scores = inference.confidence_exit_dataset(
+                me,
+                weights,
+                test_data.features,
+                dp.n_pass,
+                eval_seed,
+                dp.threshold,
+                settings.exit_mode,
+                flop_report,
+                qformat,
+            )
+            probs = scores.probs
+            early_fraction = scores.avg_flops_per_input / baseline
 
         acc = metrics.accuracy(probs, test_data.labels)
         ece = metrics.expected_calibration_error(probs, test_data.labels, settings.n_bins)

@@ -2,16 +2,18 @@
 
 The deterministic trunk runs once per input and its activations are
 cached at every exit attach point; each exit head then re-runs n_pass
-times from its cached feature with fresh dropout realizations. Random
-draws come from counter-based streams keyed by (seed, pass, layer id),
-so results do not depend on evaluation order.
+times from its cached feature with fresh dropout realizations. All
+inputs x passes of a head run as one batch through the batch-invariant
+runtime. Random draws come from counter-based streams keyed by (seed,
+pass, layer id), so results do not depend on evaluation order or on
+batching.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
@@ -19,15 +21,18 @@ from . import netspec, runtime
 from .dropout import (
     DropoutConfig,
     MaskSet,
-    RngStream,
     config_digest,
     derive_seed,
     generate_masks,
-    masksembles_forward,
-    mcd_forward,
+    masksembles_forward_batch,
+    mcd_forward_batch,
+    stream_key,
 )
 from .netspec import MultiExitSpec
 from .runtime import FlopCounter, QFormat, WeightStore
+
+if TYPE_CHECKING:
+    from .metrics import FlopReport
 
 EXIT_MODES = ("per_exit", "ensemble_so_far")
 
@@ -114,6 +119,33 @@ def site_mask_sets(me: MultiExitSpec) -> dict[str, MaskSet]:
     return tables
 
 
+# Inputs run through the network this many at a time, which bounds the
+# activation memory of a dataset call; outputs do not depend on it, since
+# every runtime layer is batch invariant.
+BLOCK_INPUTS = 64
+
+
+def _trunk(
+    me: MultiExitSpec,
+    inputs: np.ndarray,
+    weights: WeightStore,
+    qformat: QFormat | None,
+    flop_counter: FlopCounter | None,
+) -> CachedFeatures:
+    """run_trunk on a batch of inputs: every cached activation keeps the
+    leading batch axis."""
+    wanted = {ex.attach_after for ex in me.exits}
+    cached: CachedFeatures = {}
+    x = np.asarray(inputs, dtype=np.float32)
+    if None in wanted:
+        cached[None] = x
+    for layer in me.trunk.layers[: netspec.deepest_attach(me) + 1]:
+        x = runtime.forward_batch(layer, x, weights, qformat, flop_counter)
+        if layer.id in wanted:
+            cached[layer.id] = x
+    return cached
+
+
 def run_trunk(
     me: MultiExitSpec,
     x: np.ndarray,
@@ -126,46 +158,78 @@ def run_trunk(
     Executes only as deep as the deepest attach point and captures the
     activation at every exit attach point.
     """
-    wanted = {ex.attach_after for ex in me.exits}
-    cached: CachedFeatures = {}
-    x = np.asarray(x, dtype=np.float32)
-    if None in wanted:
-        cached[None] = x
-    deepest = netspec.deepest_attach(me)
-    for layer in me.trunk.layers[: deepest + 1]:
-        x = runtime.forward(layer, x, weights, qformat, flop_counter)
-        if layer.id in wanted:
-            cached[layer.id] = x
-    return cached
+    cached = _trunk(me, np.asarray(x, dtype=np.float32)[None], weights, qformat, flop_counter)
+    return {key: value[0] for key, value in cached.items()}
 
 
-def _head_pass(
+def _head(
     me: MultiExitSpec,
     exit_index: int,
-    feature: np.ndarray,
-    pass_index: int,
+    features: np.ndarray,
+    seeds: list[int],
+    passes: list[int],
     weights: WeightStore,
-    seed: int,
-    masks: Mapping[str, MaskSet],
     qformat: QFormat | None,
     flop_counter: FlopCounter | None,
 ) -> np.ndarray:
+    """Run one exit head on a batch of cached features. Row r is pass
+    passes[r] of the input sampled with seeds[r]; returns one float64
+    probability vector per row."""
     cfg = me.dropout
-    x = feature
+    x = features
     for layer in me.exits[exit_index - 1].head_layers:
-        if layer.kind == "dropout_point":
-            if cfg is None:
-                raise ValueError("spec has dropout sites but no dropout config")
-            if cfg.kind == "mcd":
-                stream = RngStream(seed, pass_index, layer.id)
-                x = mcd_forward(x, cfg.keep_rate, cfg.granularity, stream, cfg.inverted)
-            else:
-                x = masksembles_forward(x, pass_index, masks[layer.id])
-            if qformat is not None:
-                x = runtime.quantize(x, qformat)
+        if layer.kind != "dropout_point":
+            x = runtime.forward_batch(layer, x, weights, qformat, flop_counter)
+            continue
+        if cfg is None:
+            raise ValueError("spec has dropout sites but no dropout config")
+        if cfg.kind == "mcd":
+            keys = [stream_key(s, p, layer.id) for s, p in zip(seeds, passes)]
+            x = mcd_forward_batch(x, cfg.keep_rate, cfg.granularity, keys, cfg.inverted)
         else:
-            x = runtime.forward(layer, x, weights, qformat, flop_counter)
-    return x
+            masks = generate_masks(x.shape[1], cfg.num_masks, cfg.scale)
+            x = masksembles_forward_batch(x, passes, masks)
+        if qformat is not None:
+            x = runtime.quantize(x, qformat)
+    return np.asarray(x, dtype=np.float64)
+
+
+def _check_n_pass(me: MultiExitSpec, n_pass: int) -> None:
+    if n_pass < 1:
+        raise ValueError(f"n_pass must be >= 1, got {n_pass}")
+    cfg = me.dropout
+    if cfg is not None and cfg.kind == "masksembles" and n_pass > cfg.num_masks:
+        raise ValueError(
+            f"n_pass {n_pass} exceeds the {cfg.num_masks} available masks; "
+            f"each pass consumes one distinct mask"
+        )
+
+
+def _exit_samples(
+    me: MultiExitSpec,
+    cached: CachedFeatures,
+    exit_index: int,
+    n_pass: int,
+    seeds: list[int],
+    weights: WeightStore,
+    qformat: QFormat | None,
+    flop_counter: FlopCounter | None,
+) -> np.ndarray:
+    """n_pass samples of one exit for every input of a batched cache, all
+    in one head batch: (inputs, n_pass, class_count)."""
+    feature = cached[me.exits[exit_index - 1].attach_after]
+    n = len(feature)
+    rows = _head(
+        me,
+        exit_index,
+        np.repeat(feature, n_pass, axis=0),
+        [s for s in seeds for _ in range(n_pass)],
+        list(range(n_pass)) * n,
+        weights,
+        qformat,
+        flop_counter,
+    )
+    return rows.reshape(n, n_pass, rows.shape[-1])
 
 
 def run_exit_samples(
@@ -182,30 +246,32 @@ def run_exit_samples(
     feature. Returns the float64 probability vectors, one row per pass."""
     if not 1 <= exit_index <= me.n_exit:
         raise ValueError(f"exit_index must be in [1, {me.n_exit}], got {exit_index}")
-    if n_pass < 1:
-        raise ValueError(f"n_pass must be >= 1, got {n_pass}")
-    cfg = me.dropout
-    if cfg is not None and cfg.kind == "masksembles" and n_pass > cfg.num_masks:
-        raise ValueError(
-            f"n_pass {n_pass} exceeds the {cfg.num_masks} available masks; "
-            f"each pass consumes one distinct mask"
-        )
+    _check_n_pass(me, n_pass)
     ex = me.exits[exit_index - 1]
     if ex.attach_after not in cached:
         raise KeyError(f"no cached feature for attach point {ex.attach_after!r}")
-    feature = cached[ex.attach_after]
-    masks = {}
-    if cfg is not None and cfg.kind == "masksembles":
-        for k, site in me.dropout_sites:
-            if k == exit_index:
-                masks[site] = generate_masks(
-                    site_feature_count(me, k, site), cfg.num_masks, cfg.scale
-                )
-    rows = [
-        _head_pass(me, exit_index, feature, p, weights, seed, masks, qformat, flop_counter)
-        for p in range(n_pass)
+    one = {ex.attach_after: np.asarray(cached[ex.attach_after])[None]}
+    return _exit_samples(me, one, exit_index, n_pass, [seed], weights, qformat, flop_counter)[0]
+
+
+def _samples(
+    me: MultiExitSpec,
+    inputs: np.ndarray,
+    n_pass: int,
+    seeds: list[int],
+    weights: WeightStore,
+    qformat: QFormat | None,
+    flop_counter: FlopCounter | None = None,
+) -> np.ndarray:
+    """Every exit's n_pass samples for a batch of inputs:
+    (inputs, n_exit, n_pass, class_count)."""
+    _check_n_pass(me, n_pass)
+    cached = _trunk(me, inputs, weights, qformat, flop_counter)
+    per_exit = [
+        _exit_samples(me, cached, k, n_pass, seeds, weights, qformat, flop_counter)
+        for k in range(1, me.n_exit + 1)
     ]
-    return np.asarray(rows, dtype=np.float64)
+    return np.stack(per_exit, axis=1)
 
 
 def predict(
@@ -221,12 +287,8 @@ def predict(
     exit, n_exit * n_pass probability vectors in total."""
     if seed is None:
         seed = me.dropout.seed if me.dropout is not None else 0
-    cached = run_trunk(me, x, weights, qformat, flop_counter)
-    per_exit = [
-        run_exit_samples(cached, me, k, n_pass, weights, seed, qformat, flop_counter)
-        for k in range(1, me.n_exit + 1)
-    ]
-    samples = np.stack(per_exit)
+    x = np.asarray(x, dtype=np.float32)[None]
+    samples = _samples(me, x, n_pass, [seed], weights, qformat, flop_counter)[0]
     return PredictionSet(
         samples=samples,
         n_exit=me.n_exit,
@@ -235,12 +297,68 @@ def predict(
     )
 
 
+def _mean_samples(samples: np.ndarray) -> np.ndarray:
+    """Mean probability vector over the (exit, pass) axes of samples
+    shaped (..., exits, passes, class_count). One reduction shape for a
+    single input and for a batch, so their rows agree bit for bit."""
+    *lead, exits, passes, classes = samples.shape
+    return samples.reshape(*lead, exits * passes, classes).mean(axis=-2)
+
+
 def ensemble(preds: PredictionSet, upto_exit: int | None = None) -> np.ndarray:
     """Mean probability vector over all passes of exits 1..upto_exit."""
     upto = preds.n_exit if upto_exit is None else upto_exit
     if not 1 <= upto <= preds.n_exit:
         raise ValueError(f"upto_exit must be in [1, {preds.n_exit}], got {upto}")
-    return preds.samples[:upto].reshape(-1, preds.class_count).mean(axis=0)
+    return _mean_samples(preds.samples[:upto])
+
+
+def _confidence_exits(
+    me: MultiExitSpec,
+    inputs: np.ndarray,
+    threshold: float,
+    mode: str,
+    weights: WeightStore,
+    n_pass: int,
+    seeds: list[int],
+    qformat: QFormat | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """confidence_exit for a batch of inputs: each exit head runs once on
+    the inputs that are still undecided. Returns the probabilities, the
+    exit taken and the confidence of every input."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if mode not in EXIT_MODES:
+        raise ValueError(f"mode must be one of {EXIT_MODES}")
+    _check_n_pass(me, n_pass)
+    cached = _trunk(me, inputs, weights, qformat, None)
+    n = len(inputs)
+    taken = np.zeros(n, dtype=np.int64)
+    confidence = np.empty(n)
+    live = np.arange(n)  # inputs no exit has answered yet
+    history: np.ndarray | None = None  # their samples so far, for ensemble_so_far
+    for k in range(1, me.n_exit + 1):
+        samples = _exit_samples(
+            me, cached, k, n_pass, [seeds[i] for i in live], weights, qformat, None
+        )
+        if mode == "ensemble_so_far":
+            history = samples if history is None else np.concatenate([history, samples], axis=1)
+            samples = history
+        p = samples.mean(axis=1)
+        c = p.max(axis=1)
+        if k == 1:  # the class count is known once a head has run
+            probs = np.empty((n, p.shape[1]))
+        done = (c >= threshold) | (k == me.n_exit)
+        probs[live[done]] = p[done]
+        taken[live[done]] = k
+        confidence[live[done]] = c[done]
+        live, keep = live[~done], ~done
+        if not len(live):
+            break
+        cached = {key: value[keep] for key, value in cached.items()}
+        if history is not None:
+            history = history[keep]
+    return probs, taken, confidence
 
 
 def confidence_exit(
@@ -260,30 +378,45 @@ def confidence_exit(
     mode "per_exit" scores each exit's own average; "ensemble_so_far"
     scores the running ensemble of all exits up to the current one.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if mode not in EXIT_MODES:
-        raise ValueError(f"mode must be one of {EXIT_MODES}")
     if seed is None:
         seed = me.dropout.seed if me.dropout is not None else 0
-    cached = run_trunk(me, x, weights, qformat)
-    rows: list[np.ndarray] = []
-    for k in range(1, me.n_exit + 1):
-        samples = run_exit_samples(cached, me, k, n_pass, weights, seed, qformat)
-        rows.append(samples)
-        if mode == "per_exit":
-            probs = samples.mean(axis=0)
-        else:
-            probs = np.concatenate(rows).mean(axis=0)
-        confidence = float(probs.max())
-        if confidence >= threshold or k == me.n_exit:
-            return ExitDecision(probs=probs, exit_taken=k, confidence=confidence, mode=mode)
-    raise AssertionError("unreachable: the final exit always answers")
+    x = np.asarray(x, dtype=np.float32)[None]
+    probs, taken, confidence = _confidence_exits(
+        me, x, threshold, mode, weights, n_pass, [seed], qformat
+    )
+    return ExitDecision(
+        probs=probs[0], exit_taken=int(taken[0]), confidence=float(confidence[0]), mode=mode
+    )
 
 
 def dataset_seeds(seed: int, count: int) -> list[int]:
     """Independent per-input sampling seeds derived from one base seed."""
     return [derive_seed(seed, "input", i) for i in range(count)]
+
+
+def _blocks(count: int) -> list[slice]:
+    """Consecutive input blocks; an empty dataset is one empty block."""
+    return [slice(a, a + BLOCK_INPUTS) for a in range(0, max(count, 1), BLOCK_INPUTS)]
+
+
+def ensemble_rows(
+    me: MultiExitSpec,
+    weights: WeightStore,
+    inputs: np.ndarray,
+    n_pass: int,
+    seeds: list[int],
+    qformat: QFormat | None = None,
+) -> np.ndarray:
+    """Full-ensemble probabilities, one row per input, input i sampled
+    with seeds[i]: row i equals ensemble(predict(inputs[i], seed=seeds[i]))."""
+    inputs = np.asarray(inputs, dtype=np.float32)
+    if len(seeds) != len(inputs):
+        raise ValueError(f"{len(seeds)} seeds for {len(inputs)} inputs")
+    rows = [
+        _mean_samples(_samples(me, inputs[b], n_pass, seeds[b], weights, qformat))
+        for b in _blocks(len(inputs))
+    ]
+    return np.concatenate(rows)
 
 
 def ensemble_dataset(
@@ -295,9 +428,41 @@ def ensemble_dataset(
     qformat: QFormat | None = None,
 ) -> np.ndarray:
     """Full-ensemble probabilities for a batch of inputs, one row each."""
+    return ensemble_rows(me, weights, inputs, n_pass, dataset_seeds(seed, len(inputs)), qformat)
+
+
+@dataclass(frozen=True)
+class EarlyExitScores:
+    """confidence_exit over a dataset, with the FLOPs each input spent."""
+
+    probs: np.ndarray  # (inputs, class_count)
+    exits_taken: np.ndarray  # (inputs,) int64
+    avg_flops_per_input: float  # mean of flop_main + n_pass * head FLOPs of exits run
+
+
+def confidence_exit_dataset(
+    me: MultiExitSpec,
+    weights: WeightStore,
+    inputs: np.ndarray,
+    n_pass: int,
+    seed: int,
+    threshold: float,
+    mode: str,
+    flops: FlopReport,
+    qformat: QFormat | None = None,
+) -> EarlyExitScores:
+    """confidence_exit on every input, input i sampled with
+    dataset_seeds(seed, len(inputs))[i], and the early-exit FLOP
+    accounting of flops (metrics.count_flops of me) over the exits run."""
+    inputs = np.asarray(inputs, dtype=np.float32)
     seeds = dataset_seeds(seed, len(inputs))
-    rows = [
-        ensemble(predict(me, x, n_pass, weights, s, qformat))
-        for x, s in zip(inputs, seeds)
+    parts = [
+        _confidence_exits(me, inputs[b], threshold, mode, weights, n_pass, seeds[b], qformat)
+        for b in _blocks(len(inputs))
     ]
-    return np.asarray(rows)
+    probs = np.concatenate([p for p, _, _ in parts])
+    taken = np.concatenate([t for _, t, _ in parts])
+    spent = [flops.flop_main + n_pass * sum(flops.per_exit[:k]) for k in taken]
+    return EarlyExitScores(
+        probs=probs, exits_taken=taken, avg_flops_per_input=float(np.mean(spent))
+    )

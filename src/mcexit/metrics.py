@@ -178,12 +178,10 @@ def average_predictive_entropy(
     nothing like data; each input gets its own derived sampling seed.
     """
     xs = gaussian_inputs(noise, me.trunk.input_shape)
+    seeds = [derive_seed(noise.seed, "mc", i) for i in range(len(xs))]
     total = 0.0
-    for i, x in enumerate(xs):
-        preds = inference.predict(
-            me, x, n_pass, weights, seed=derive_seed(noise.seed, "mc", i), qformat=qformat
-        )
-        total += predictive_entropy(inference.ensemble(preds))
+    for probs in inference.ensemble_rows(me, weights, xs, n_pass, seeds, qformat):
+        total += predictive_entropy(probs)
     return total / len(xs)
 
 

@@ -1,9 +1,10 @@
-"""Deterministic single-sample tensor runtime.
+"""Deterministic, batch-invariant tensor runtime.
 
-Executes layer chains on float32 arrays, optionally passing weights and
-activations through a saturating fixed-point quantizer to mimic a
-narrow hardware datapath. Also owns weight initialization and the
-manifest-plus-blob weights file format.
+Executes layer chains on float32 arrays, one sample or a batch of
+samples at a time, optionally passing weights and activations through a
+saturating fixed-point quantizer to mimic a narrow hardware datapath.
+Also owns weight initialization and the manifest-plus-blob weights file
+format.
 """
 
 from __future__ import annotations
@@ -129,34 +130,114 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: i
     return acc + b[:, None, None]
 
 
-def _pool(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
+def _per_row(fn, x: np.ndarray, out_shape: tuple[int, ...]) -> np.ndarray:
+    """Apply a single-sample function to every row of a batch."""
+    rows = [fn(row) for row in x]
+    return np.array(rows) if rows else np.empty((0, *out_shape), dtype=x.dtype)
+
+
+def _pool(x: np.ndarray, layer: LayerSpec, out_shape: tuple[int, ...]) -> np.ndarray:
     stride = layer.params["stride"]
-    win = netspec._pool_window(layer, x.shape)
-    if x.ndim == 1:
-        n = (x.shape[0] - win[0]) // stride + 1
+    win = netspec._pool_window(layer, x.shape[1:])
+    if x.ndim == 2:
+        n = (x.shape[1] - win[0]) // stride + 1
         idx = np.arange(n)[:, None] * stride + np.arange(win[0])[None, :]
-        windows = x[idx]
-        return windows.max(axis=1) if layer.kind == "max_pool" else windows.mean(
-            axis=1, dtype=x.dtype
+        windows = x[:, idx]
+        return windows.max(axis=2) if layer.kind == "max_pool" else windows.mean(
+            axis=2, dtype=x.dtype
         )
-    c, h, w = x.shape
-    hout = (h - win[0]) // stride + 1
-    wout = (w - win[1]) // stride + 1
-    stacked = np.stack(
-        [
-            x[:, i : i + stride * hout : stride, j : j + stride * wout : stride]
-            for i in range(win[0])
-            for j in range(win[1])
-        ]
-    )
-    return stacked.max(axis=0) if layer.kind == "max_pool" else stacked.mean(
-        axis=0, dtype=x.dtype
-    )
+    hout, wout = out_shape[1:]
+
+    def taps(a: np.ndarray) -> np.ndarray:
+        """Every window offset of a, stacked along a new leading axis."""
+        return np.array(
+            [
+                a[..., i : i + stride * hout : stride, j : j + stride * wout : stride]
+                for i in range(win[0])
+                for j in range(win[1])
+            ]
+        )
+
+    if layer.kind == "max_pool":
+        return taps(x).max(axis=0)
+    if math.prod(out_shape) > 1:
+        # numpy adds the taps one after another for every output element,
+        # for one sample and for a batch alike
+        return taps(x).mean(axis=0, dtype=x.dtype)
+    # one output element per sample: numpy adds its taps pairwise, which a
+    # batch would turn into one after another, so stay per sample
+    return _per_row(lambda a: taps(a).mean(axis=0, dtype=a.dtype), x, out_shape)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum(dtype=x.dtype)
+    """Softmax over the last axis, so a batch of logit rows maps row by row."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True, dtype=x.dtype)
+
+
+def _layer_params(
+    layer: LayerSpec, weights: WeightStore | None, qformat: QFormat | None
+) -> tuple[np.ndarray, np.ndarray]:
+    if weights is None or layer.id not in weights:
+        raise KeyError(f"no weights for layer {layer.id!r}")
+    w = weights[layer.id]["weights"]
+    b = weights[layer.id]["bias"]
+    if w.shape != _weight_shape(layer):
+        raise ShapeMismatchError(
+            f"layer {layer.id!r}: weight shape {w.shape} does not match params"
+        )
+    if qformat is not None:
+        w = quantize(w, qformat)
+        b = quantize(b, qformat)
+    return w, b
+
+
+def forward_batch(
+    layer: LayerSpec,
+    x: np.ndarray,
+    weights: WeightStore | None = None,
+    qformat: QFormat | None = None,
+    flop_counter: FlopCounter | None = None,
+) -> np.ndarray:
+    """Run one layer on a stack of samples along a leading batch axis.
+
+    Batch invariant: every output row is bit-identical to running that
+    row alone, whatever it is batched with. Dense layers therefore run as
+    one gemv per row (a stacked matmul) and never as one gemm over the
+    batch, whose blocking changes the summation order with the batch
+    size. conv2d loops over the rows.
+
+    With a qformat, weights are quantized once per call before use and
+    the output activation is quantized afterward; softmax outputs are
+    exempt so probability vectors keep summing to one. dropout_point
+    layers are an identity here; their stochastic realization belongs to
+    the caller. A flop_counter is charged the per-sample FLOPs per row.
+    """
+    x = np.asarray(x)
+    out_shape = netspec.output_shape(layer, x.shape[1:])  # shape check, raises with layer id
+    if flop_counter is not None:
+        flop_counter.add(len(x) * netspec.flops_of(layer, x.shape[1:]))
+    kind = layer.kind
+    if kind == "dense":
+        w, b = _layer_params(layer, weights, qformat)
+        out = np.matmul(w, x[..., None])[..., 0] + b
+    elif kind == "conv2d":
+        w, b = _layer_params(layer, weights, qformat)
+        p = layer.params
+        out = _per_row(lambda s: _conv2d(s, w, b, p["stride"], p["padding"]), x, out_shape)
+    elif kind in ("max_pool", "avg_pool"):
+        out = _pool(x, layer, out_shape)
+    elif kind == "relu":
+        out = np.maximum(x, x.dtype.type(0))
+    elif kind == "softmax":
+        return softmax(x)
+    elif kind == "flatten":
+        out = x.reshape(len(x), *out_shape)
+    else:  # dropout_point
+        out = x
+    if qformat is not None and kind != "dropout_point":
+        out = quantize(out, qformat)
+    return out
 
 
 def forward(
@@ -166,53 +247,9 @@ def forward(
     qformat: QFormat | None = None,
     flop_counter: FlopCounter | None = None,
 ) -> np.ndarray:
-    """Run one layer on a single unbatched sample.
-
-    With a qformat, weights are quantized before use and the output
-    activation is quantized afterward; softmax outputs are exempt so
-    probability vectors keep summing to one. dropout_point layers are an
-    identity here; their stochastic realization belongs to the caller.
-    """
-    x = np.asarray(x)
-    netspec.output_shape(layer, x.shape)  # shape check, raises with layer id
-    if flop_counter is not None:
-        flop_counter.add(netspec.flops_of(layer, x.shape))
-    kind = layer.kind
-    if kind in ("dense", "conv2d"):
-        if weights is None or layer.id not in weights:
-            raise KeyError(f"no weights for layer {layer.id!r}")
-        w = weights[layer.id]["weights"]
-        b = weights[layer.id]["bias"]
-        if qformat is not None:
-            w = quantize(w, qformat)
-            b = quantize(b, qformat)
-        if kind == "dense":
-            if w.shape != (layer.params["out_features"], layer.params["in_features"]):
-                raise ShapeMismatchError(
-                    f"layer {layer.id!r}: weight shape {w.shape} does not match params"
-                )
-            out = w @ x + b
-        else:
-            p = layer.params
-            expected = (p["out_channels"], p["in_channels"], p["kernel_h"], p["kernel_w"])
-            if w.shape != expected:
-                raise ShapeMismatchError(
-                    f"layer {layer.id!r}: weight shape {w.shape} does not match params"
-                )
-            out = _conv2d(x, w, b, p["stride"], p["padding"])
-    elif kind in ("max_pool", "avg_pool"):
-        out = _pool(x, layer)
-    elif kind == "relu":
-        out = np.maximum(x, x.dtype.type(0))
-    elif kind == "softmax":
-        return softmax(x)
-    elif kind == "flatten":
-        out = x.reshape(-1)
-    else:  # dropout_point
-        out = x
-    if qformat is not None and kind != "dropout_point":
-        out = quantize(out, qformat)
-    return out
+    """Run one layer on a single unbatched sample: the batch-of-1 case
+    of forward_batch."""
+    return forward_batch(layer, np.asarray(x)[None], weights, qformat, flop_counter)[0]
 
 
 def run_layers(

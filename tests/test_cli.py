@@ -6,6 +6,7 @@ transform -> train pipeline is shared by the read-only tests.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -869,10 +870,14 @@ class TestMainDispatch:
         assert "RuntimeError: wires crossed" in capsys.readouterr().err
 
     def test_module_entry_point(self):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "mcexit.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: mcexit")

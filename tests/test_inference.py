@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_masksembles_spec, build_mcd_spec
-from mcexit import inference, netspec, runtime
+from conftest import build_masksembles_spec, build_mcd_spec, lenet_doc
+from mcexit import inference, metrics, netspec, runtime
 from mcexit.dropout import (
     DropoutConfig,
     RngStream,
@@ -45,6 +45,23 @@ def uncached_sample(me, x, weights, exit_index, pass_index, seed, qformat=None):
         else:
             h = runtime.forward(layer, h, weights, qformat)
     return h
+
+
+def scoring_case(case, request):
+    """(spec, weights, inputs) for one of the dataset-scoring cases: the
+    trained MLPs of the fixtures, or a small conv net with initialised
+    weights and channel-granularity MC dropout."""
+    if case.startswith("conv"):
+        me = netspec.place_exits(netspec.parse_network(lenet_doc()))
+        me = netspec.insert_dropout(me, DropoutConfig(kind="mcd", keep_rate=0.5, seed=2), 1)
+        weights = runtime.init_weights(netspec.all_layers(me), 4)
+        gen = np.random.Generator(np.random.Philox(key=9))
+        return me, weights, gen.standard_normal((4, 1, 12, 12)).astype(np.float32)
+    kind = case.removesuffix("_q8")
+    me = request.getfixturevalue(f"{kind}_spec")
+    weights = request.getfixturevalue(f"{kind}_weights")
+    data = request.getfixturevalue("blob_data")
+    return me, weights, data.features[:4]
 
 
 def confidence_rig():
@@ -234,13 +251,13 @@ class TestConfidenceExit:
     def test_deeper_heads_are_never_run_after_exiting(self, monkeypatch):
         me, weights = confidence_rig()
         seen = []
-        original = runtime.forward
+        original = runtime.forward_batch
 
         def spy(layer, x, w, qformat=None, flop_counter=None):
             seen.append(layer.id)
             return original(layer, x, w, qformat, flop_counter)
 
-        monkeypatch.setattr(runtime, "forward", spy)
+        monkeypatch.setattr(runtime, "forward_batch", spy)
         inference.confidence_exit(me, np.ones(4, dtype=np.float32), 0.6, "per_exit", weights, 2)
         assert "exit1/fc" in seen
         assert "fc" not in seen and "sm" not in seen
@@ -291,12 +308,43 @@ class TestDatasetHelpers:
         assert a == b
         assert len(set(a)) == 50
 
-    def test_ensemble_dataset_matches_per_input_calls(self, mcd_spec, mcd_weights, blob_data):
-        inputs = blob_data.features[:4]
-        rows = inference.ensemble_dataset(mcd_spec, mcd_weights, inputs, 3, seed=6)
+    def test_ensemble_dataset_matches_per_input_calls(self, request, monkeypatch):
+        # blocks of 3 so the 4 inputs also cross a block boundary
+        monkeypatch.setattr(inference, "BLOCK_INPUTS", 3)
+        for case in ("mcd", "masksembles", "mcd_q8", "masksembles_q8", "conv", "conv_q8"):
+            me, weights, inputs = scoring_case(case, request)
+            qformat = QFormat(8, 3) if case.endswith("_q8") else None
+            rows = inference.ensemble_dataset(me, weights, inputs, 3, seed=6, qformat=qformat)
+            seeds = inference.dataset_seeds(6, len(inputs))
+            assert rows.shape == (len(inputs), me.class_count), case
+            for i, x in enumerate(inputs):
+                expected = inference.ensemble(
+                    inference.predict(me, x, 3, weights, seed=seeds[i], qformat=qformat)
+                )
+                assert np.array_equal(rows[i], expected), (case, i)
+
+    @pytest.mark.parametrize("mode", inference.EXIT_MODES)
+    @pytest.mark.parametrize("case", ["mcd", "masksembles_q8", "conv"])
+    def test_confidence_exit_dataset_matches_per_input_calls(self, case, mode, request, monkeypatch):
+        monkeypatch.setattr(inference, "BLOCK_INPUTS", 3)
+        me, weights, inputs = scoring_case(case, request)
+        qformat = QFormat(8, 3) if case.endswith("_q8") else None
+        flops = metrics.count_flops(me)
         seeds = inference.dataset_seeds(6, len(inputs))
+        # the median exit-1 confidence, so some inputs stop there and some go on
+        first = [
+            inference.ensemble(inference.predict(me, x, 3, weights, s, qformat), 1).max()
+            for x, s in zip(inputs, seeds)
+        ]
+        threshold = min(float(np.median(first)), 0.999)
+        scores = inference.confidence_exit_dataset(
+            me, weights, inputs, 3, 6, threshold, mode, flops, qformat
+        )
+        assert 1 in scores.exits_taken and scores.exits_taken.max() > 1
+        spent = []
         for i, x in enumerate(inputs):
-            expected = inference.ensemble(
-                inference.predict(mcd_spec, x, 3, mcd_weights, seed=seeds[i])
-            )
-            assert np.array_equal(rows[i], expected)
+            d = inference.confidence_exit(me, x, threshold, mode, weights, 3, seeds[i], qformat)
+            assert np.array_equal(scores.probs[i], d.probs)
+            assert scores.exits_taken[i] == d.exit_taken
+            spent.append(flops.flop_main + 3 * sum(flops.per_exit[: d.exit_taken]))
+        assert scores.avg_flops_per_input == sum(spent) / len(spent)

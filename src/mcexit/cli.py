@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import emitter, explorer, inference, mapping, metrics, netspec, runtime, train
-from .datasets import Dataset, NoiseSpec, dataset_stats, load_dataset, make_blobs
+from .datasets import Dataset, load_dataset, make_blobs, noise_like
 from .dropout import DropoutConfig, derive_seed
 from .metrics import MetricsReport
 
@@ -185,13 +185,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report["accuracy"] = metrics.accuracy(probs, data.labels)
     report["ece"] = metrics.expected_calibration_error(probs, data.labels, args.n_bins)
 
-    mean, std = dataset_stats(data)
-    noise = NoiseSpec(
-        mean=tuple(float(v) for v in mean),
-        std=tuple(float(v) for v in std),
-        count=args.noise_count,
-        seed=derive_seed(args.seed, "noise"),
-    )
+    noise = noise_like(data, args.noise_count, derive_seed(args.seed, "noise"))
     report["ape"] = metrics.average_predictive_entropy(me, weights, noise, args.n_pass, qformat)
 
     _write_json(args.out, report)

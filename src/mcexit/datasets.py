@@ -37,8 +37,8 @@ class Dataset:
 class NoiseSpec:
     """Gaussian input distribution used for out-of-distribution probing."""
 
-    mean: float | tuple[float, ...]
-    std: float | tuple[float, ...]
+    mean: float | tuple  # a scalar, or nested tuples shaped like one input
+    std: float | tuple
     count: int
     seed: int
 
@@ -92,6 +92,18 @@ def dataset_stats(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return data.features.mean(axis=0), data.features.std(axis=0)
 
 
+def _nested_tuple(a: np.ndarray) -> tuple:
+    """a as nested tuples of Python floats, one level per axis."""
+    return tuple(_nested_tuple(v) if v.ndim else float(v) for v in a)
+
+
+def noise_like(data: Dataset, count: int, seed: int) -> NoiseSpec:
+    """count Gaussian inputs with the per-feature mean and standard
+    deviation of data, whatever the rank of its features."""
+    mean, std = dataset_stats(data)
+    return NoiseSpec(mean=_nested_tuple(mean), std=_nested_tuple(std), count=count, seed=seed)
+
+
 def gaussian_inputs(spec: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:
     """spec.count i.i.d. Gaussian tensors of the given shape, float32."""
     gen = np.random.Generator(np.random.Philox(key=derive_seed(spec.seed, "noise")))
@@ -103,7 +115,7 @@ def gaussian_inputs(spec: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:
 
 def save_dataset(data: Dataset, path: str | Path) -> None:
     doc = {
-        "features": [[float(v) for v in row] for row in data.features],
+        "features": data.features.tolist(),
         "labels": [int(v) for v in data.labels],
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")

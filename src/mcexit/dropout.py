@@ -5,6 +5,7 @@ make sampling order-independent and reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -281,7 +282,9 @@ def generate_masks(feature_count: int, num_masks: int, scale: float) -> MaskSet:
     the cyclic contiguous window of length k starting at offset
     round(i * F / N). The construction needs no seed, gives every mask an
     equal population count, and overlaps grow with scale until scale >= N
-    saturates all masks to all-ones.
+    saturates all masks to all-ones. Tables are built once per
+    (feature_count, num_masks, scale) and shared: a MaskSet is frozen and
+    its table read-only.
     """
     if feature_count < 1 or num_masks < 1:
         raise ValueError("feature_count and num_masks must be >= 1")
@@ -291,14 +294,18 @@ def generate_masks(feature_count: int, num_masks: int, scale: float) -> MaskSet:
         )
     if scale < 1.0:
         raise ValueError(f"scale must be >= 1, got {scale}")
-    f, n = int(feature_count), int(num_masks)
+    return _mask_table(int(feature_count), int(num_masks), float(scale))
+
+
+@functools.lru_cache(maxsize=256)
+def _mask_table(f: int, n: int, scale: float) -> MaskSet:
     k = min(f, int(round(scale * f / n)))
     table = np.zeros((n, f), dtype=np.uint8)
     for i in range(n):
         start = int(round(i * f / n))
         idx = (start + np.arange(k)) % f
         table[i, idx] = 1
-    return MaskSet(masks=table, feature_count=f, scale=float(scale))
+    return MaskSet(masks=table, feature_count=f, scale=scale)
 
 
 def masksembles_forward(x: np.ndarray, mask_index: int, masks: MaskSet) -> np.ndarray:

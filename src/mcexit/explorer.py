@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from . import inference, mapping, metrics, netspec, runtime, train
-from .datasets import Dataset, NoiseSpec, dataset_stats, train_test_split
+from .datasets import Dataset, noise_like, train_test_split
 from .dropout import DropoutConfig, derive_seed
 from .mapping import HardwareModel, LatencyEstimate
 from .metrics import MetricsReport
@@ -389,13 +389,7 @@ def evaluate_design_point(
 
         acc = metrics.accuracy(probs, test_data.labels)
         ece = metrics.expected_calibration_error(probs, test_data.labels, settings.n_bins)
-        mean, std = dataset_stats(train_data)
-        noise = NoiseSpec(
-            mean=tuple(float(v) for v in mean),
-            std=tuple(float(v) for v in std),
-            count=noise_count,
-            seed=derive_seed(seed, "noise", dp.key()),
-        )
+        noise = noise_like(train_data, noise_count, derive_seed(seed, "noise", dp.key()))
         ape = metrics.average_predictive_entropy(me, weights, noise, dp.n_pass, qformat)
 
         plan = mapping.build_mapping(dp.n_sample, dp.mapping_engines)

@@ -116,18 +116,31 @@ class FlopCounter:
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    cin, h, wi = x.shape
+    """conv2d of a batch (B, C, H, W): one stacked matmul per kernel tap,
+    the taps added in order into one accumulator.
+
+    Both matmul operands are C-contiguous, so numpy runs one sgemm per
+    row with the M, N and K of a single sample, and every row has the bits
+    it has alone. One im2col gemm over all taps would sum in another order.
+    """
+    n, cin, h, wi = x.shape
     cout, _, kh, kw = w.shape
     if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+        padded = np.zeros((n, cin, h + 2 * padding, wi + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding : padding + h, padding : padding + wi] = x
+        x = padded
     hout = (h + 2 * padding - kh) // stride + 1
     wout = (wi + 2 * padding - kw) // stride + 1
-    acc = np.zeros((cout, hout, wout), dtype=x.dtype)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # taps[i, j] is w[:, :, i, j]
+    patch = np.empty((n, cin, hout, wout), dtype=x.dtype)
+    cols = patch.reshape(n, cin, hout * wout)
+    prod = np.empty((n, cout, hout * wout), dtype=np.result_type(w, x))
+    acc = np.zeros((n, cout, hout * wout), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            patch = x[:, i : i + stride * hout : stride, j : j + stride * wout : stride]
-            acc += np.tensordot(w[:, :, i, j], patch, axes=(1, 0))
-    return acc + b[:, None, None]
+            patch[...] = x[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride]
+            acc += np.matmul(taps[i, j], cols, out=prod)
+    return acc.reshape(n, cout, hout, wout) + b[:, None, None]
 
 
 def _per_row(fn, x: np.ndarray, out_shape: tuple[int, ...]) -> np.ndarray:
@@ -139,34 +152,51 @@ def _per_row(fn, x: np.ndarray, out_shape: tuple[int, ...]) -> np.ndarray:
 def _pool(x: np.ndarray, layer: LayerSpec, out_shape: tuple[int, ...]) -> np.ndarray:
     stride = layer.params["stride"]
     win = netspec._pool_window(layer, x.shape[1:])
+    is_max = layer.kind == "max_pool"
     if x.ndim == 2:
-        n = (x.shape[1] - win[0]) // stride + 1
-        idx = np.arange(n)[:, None] * stride + np.arange(win[0])[None, :]
-        windows = x[:, idx]
-        return windows.max(axis=2) if layer.kind == "max_pool" else windows.mean(
-            axis=2, dtype=x.dtype
-        )
+        n = out_shape[0]
+        if stride == win[0]:
+            windows = x[:, : n * stride].reshape(len(x), n, stride)
+        else:
+            windows = x[:, np.arange(n)[:, None] * stride + np.arange(win[0])[None, :]]
+        if is_max:
+            return np.maximum.reduce(windows, axis=2)
+        return np.add.reduce(windows, axis=2, dtype=x.dtype) / win[0]
+    kh, kw = win
     hout, wout = out_shape[1:]
+    if hout == wout == 1:
+        # one window per channel, as in a global pool: its taps stacked along
+        # a new leading axis with one copy, (taps, ..., C, 1, 1)
 
-    def taps(a: np.ndarray) -> np.ndarray:
-        """Every window offset of a, stacked along a new leading axis."""
-        return np.array(
-            [
-                a[..., i : i + stride * hout : stride, j : j + stride * wout : stride]
-                for i in range(win[0])
-                for j in range(win[1])
-            ]
-        )
+        def stacked(a: np.ndarray) -> np.ndarray:
+            taps = np.moveaxis(a[..., :kh, :kw], (-2, -1), (0, 1))
+            return np.ascontiguousarray(taps).reshape(kh * kw, *a.shape[:-2], 1, 1)
 
-    if layer.kind == "max_pool":
-        return taps(x).max(axis=0)
-    if math.prod(out_shape) > 1:
-        # numpy adds the taps one after another for every output element,
-        # for one sample and for a batch alike
-        return taps(x).mean(axis=0, dtype=x.dtype)
-    # one output element per sample: numpy adds its taps pairwise, which a
-    # batch would turn into one after another, so stay per sample
-    return _per_row(lambda a: taps(a).mean(axis=0, dtype=a.dtype), x, out_shape)
+        if is_max:
+            return stacked(x).max(axis=0)
+        if math.prod(out_shape) > 1:
+            # numpy adds stacked taps one after another for every output
+            # element, for one sample and for a batch alike
+            return stacked(x).mean(axis=0, dtype=x.dtype)
+        # one output element per sample: numpy adds its taps pairwise, which
+        # a batch would turn into one after another, so stay per sample
+        return _per_row(lambda a: stacked(a).mean(axis=0, dtype=a.dtype), x, out_shape)
+    # the tap views one after another, as numpy reduces stacked taps over
+    # axis 0: max starts from the first tap, a sum from its identity +0.0
+    views = [
+        x[..., i : i + stride * hout : stride, j : j + stride * wout : stride]
+        for i in range(kh)
+        for j in range(kw)
+    ]
+    if is_max:
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
+        return out
+    out = np.zeros_like(views[0])
+    for view in views:
+        out += view
+    return out / len(views)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -223,8 +253,7 @@ def forward_batch(
         out = np.matmul(w, x[..., None])[..., 0] + b
     elif kind == "conv2d":
         w, b = _layer_params(layer, weights, qformat)
-        p = layer.params
-        out = _per_row(lambda s: _conv2d(s, w, b, p["stride"], p["padding"]), x, out_shape)
+        out = _conv2d(x, w, b, layer.params["stride"], layer.params["padding"])
     elif kind in ("max_pool", "avg_pool"):
         out = _pool(x, layer, out_shape)
     elif kind == "relu":

@@ -84,11 +84,12 @@ def reference_forward(layer, x, weights=None, qformat=None):
 
 
 def conv(cin, cout, k, stride=1, padding=0):
+    kh, kw = (k, k) if isinstance(k, int) else k
     params = {
         "in_channels": cin,
         "out_channels": cout,
-        "kernel_h": k,
-        "kernel_w": k,
+        "kernel_h": kh,
+        "kernel_w": kw,
         "stride": stride,
         "padding": padding,
     }
@@ -101,9 +102,22 @@ LAYERS = [
     ({"id": "d", "kind": "dense", "params": {"in_features": 512, "out_features": 64}}, (512,)),
     (conv(3, 4, 3, padding=1), (3, 8, 8)),
     (conv(2, 3, 3, stride=2), (2, 7, 6)),
+    # the three conv stages of the benchmark's 3x32x32 net, large enough to
+    # reach the larger sgemm paths of the BLAS
+    (conv(3, 16, 3, padding=1), (3, 32, 32)),
+    (conv(16, 32, 3, padding=1), (16, 16, 16)),
+    (conv(32, 32, 3, padding=1), (32, 8, 8)),
+    (conv(1, 4, 3), (1, 12, 12)),
+    (conv(3, 5, (2, 3), padding=1), (3, 7, 9)),
+    (conv(4, 6, 3, stride=2, padding=1), (4, 9, 7)),
     ({"id": "p", "kind": "max_pool", "params": {"window": 2}}, (12,)),
     ({"id": "p", "kind": "avg_pool", "params": {"window": 2}}, (24,)),
     ({"id": "p", "kind": "avg_pool", "params": {"window": 3, "stride": 1}}, (10,)),
+    # windows that do not tile the input
+    ({"id": "p", "kind": "max_pool", "params": {"window": 2}}, (13,)),
+    ({"id": "p", "kind": "avg_pool", "params": {"window": 2}}, (13,)),
+    ({"id": "p", "kind": "max_pool", "params": {"window": 3, "stride": 2}}, (3, 8, 8)),
+    ({"id": "p", "kind": "avg_pool", "params": {"window": 3, "stride": 2}}, (3, 8, 8)),
     ({"id": "p", "kind": "max_pool", "params": {"window": 2}}, (4, 8, 8)),
     ({"id": "p", "kind": "avg_pool", "params": {"window": 2}}, (4, 8, 8)),
     ({"id": "p", "kind": "max_pool", "params": {"window": "global"}}, (5, 6, 6)),
@@ -131,6 +145,21 @@ def test_batched_rows_equal_single_samples(doc, shape, batch, qformat):
         assert single.dtype == row.dtype == np.float32
         assert np.array_equal(row, single)
         assert np.array_equal(row, reference_forward(layer, sample, weights, qformat))
+
+
+@pytest.mark.parametrize("doc,shape", LAYERS, ids=LAYER_IDS)
+def test_signed_zeros_keep_their_bits(doc, shape):
+    """Rows compared as bytes on inputs holding +0.0 and -0.0, so a
+    reduction that starts from another value than the reference's shows."""
+    layer = netspec.parse_layer(doc)
+    weights = runtime.init_weights([layer], seed=3)
+    gen = np.random.Generator(np.random.Philox(key=5))
+    x = gen.standard_normal((4, *shape)).astype(np.float32)
+    x[gen.random(x.shape) < 0.3] = -0.0
+    x[gen.random(x.shape) < 0.1] = 0.0
+    out = runtime.forward_batch(layer, x, weights)
+    for row, sample in zip(out, x):
+        assert row.tobytes() == reference_forward(layer, sample, weights).tobytes()
 
 
 def test_flops_are_charged_per_row():

@@ -11,16 +11,41 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import mlp_doc
-from mcexit import cli, emitter, explorer, metrics, netspec, runtime
+from mcexit import cli, datasets, emitter, explorer, metrics, netspec, runtime
+from mcexit.dropout import DropoutConfig
 
 
 def write_network(root: Path) -> Path:
     path = root / "network.json"
     path.write_text(json.dumps(mlp_doc()) + "\n")
     return path
+
+
+def conv32_doc() -> dict:
+    """3x32x32 input, three conv(3x3, pad 1)+relu+max_pool stages of
+    16/32/32 channels, then dense 512->64->10: four exits."""
+    layers: list[dict] = []
+    cin = 3
+    for i, cout in enumerate((16, 32, 32), start=1):
+        conv = {"in_channels": cin, "out_channels": cout, "kernel_h": 3, "kernel_w": 3}
+        layers += [
+            {"id": f"conv{i}", "kind": "conv2d", "params": {**conv, "padding": 1}},
+            {"id": f"relu{i}", "kind": "relu"},
+            {"id": f"pool{i}", "kind": "max_pool", "params": {"window": 2}},
+        ]
+        cin = cout
+    layers += [
+        {"id": "flat", "kind": "flatten"},
+        {"id": "fc1", "kind": "dense", "params": {"in_features": 512, "out_features": 64}},
+        {"id": "relu4", "kind": "relu"},
+        {"id": "fc2", "kind": "dense", "params": {"in_features": 64, "out_features": 10}},
+        {"id": "sm", "kind": "softmax"},
+    ]
+    return {"input_shape": [3, 32, 32], "layers": layers}
 
 
 def write_hardware(root: Path, name: str = "hw.json", dsp_budget: float = 100.0) -> Path:
@@ -411,6 +436,53 @@ class TestEvaluate:
         )
         assert rc == 0
         assert json.loads(out.read_text())["bits"] == 8
+
+    def test_rank_three_dataset(self, tmp_path, capsys):
+        """Image inputs (12 x 3x32x32) through save_dataset and evaluate,
+        on the 4-exit conv net with initialised weights."""
+        me = netspec.place_exits(netspec.parse_network(conv32_doc()))
+        cfg = DropoutConfig(kind="masksembles", num_masks=4, scale=2.0, seed=3)
+        me = netspec.insert_dropout(me, cfg, 1)
+        netspec.save_multi_exit(me, tmp_path / "multi_exit.json")
+        runtime.save_weights(
+            runtime.init_weights(netspec.all_layers(me), 4), tmp_path / "weights.json"
+        )
+        gen = np.random.Generator(np.random.Philox(key=5))
+        features = gen.standard_normal((12, 3, 32, 32)).astype(np.float32)
+        data = datasets.Dataset(features=features, labels=np.arange(12) % 10)
+        datasets.save_dataset(data, tmp_path / "data.json")
+        assert np.array_equal(datasets.load_dataset(tmp_path / "data.json").features, features)
+        out = tmp_path / "report.json"
+        rc = cli.main(
+            [
+                "evaluate",
+                "--spec",
+                str(tmp_path / "multi_exit.json"),
+                "--weights",
+                str(tmp_path / "weights.json"),
+                "--dataset",
+                str(tmp_path / "data.json"),
+                "--n-pass",
+                "2",
+                "--noise-count",
+                "4",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert report["n_exit"] == 4
+        assert 0.0 <= report["accuracy"] <= 1.0
+        assert report["ape"] >= 0.0
+
+    def test_rank_one_noise_stats_are_plain_floats(self):
+        data = datasets.make_blobs(count=30, classes=3, dim=4, seed=1)
+        noise = datasets.noise_like(data, 8, 2)
+        mean, std = datasets.dataset_stats(data)
+        assert noise.mean == tuple(float(v) for v in mean)
+        assert noise.std == tuple(float(v) for v in std)
+        assert (noise.count, noise.seed) == (8, 2)
 
     def test_requires_a_data_source(self, ws, capsys):
         rc = cli.main(

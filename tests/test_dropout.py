@@ -182,6 +182,15 @@ class TestGenerateMasks:
     def test_deterministic(self):
         assert generate_masks(16, 4, 3.0) == generate_masks(16, 4, 3.0)
 
+    def test_one_shared_read_only_table_per_arguments(self):
+        a, b = generate_masks(16, 4, 3.0), generate_masks(np.int64(16), 4, 3)
+        assert a == b and a is b
+        assert a.scale == 3.0 and isinstance(a.scale, float)
+        assert not a.masks.flags.writeable
+        with pytest.raises(ValueError):
+            a.masks[0, 0] = 1 - a.masks[0, 0]
+        assert generate_masks(16, 4, 2.0) != a
+
     def test_requires_enough_features(self):
         with pytest.raises(ValueError):
             generate_masks(3, 4, 1.0)

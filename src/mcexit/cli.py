@@ -14,7 +14,7 @@ outputs are byte-stable for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import json
+import inspect
 import sys
 import traceback
 from dataclasses import replace
@@ -25,16 +25,26 @@ import numpy as np
 
 from . import emitter, explorer, inference, mapping, metrics, netspec, runtime, train
 from .datasets import Dataset, load_dataset, make_blobs, noise_like
+from .documents import fields, read_json, write_json
 from .dropout import DropoutConfig, derive_seed
 from .metrics import MetricsReport
+
+CONFIG_KEYS = (
+    "network",
+    "dataset",
+    "grids",
+    "constraints",
+    "priority",
+    "settings",
+    "seed",
+    "noise_count",
+    "hardware",
+)
+REPORT_KEYS = ("accuracy", "ece", "ape", "flops_fraction", "n_sample")  # what emit reads
 
 
 class InfeasibleError(RuntimeError):
     """No design point or mapping satisfies the stated constraints."""
-
-
-def _write_json(path: str | Path, doc: Any) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _load_data(args: argparse.Namespace) -> Dataset:
@@ -47,12 +57,6 @@ def _load_data(args: argparse.Namespace) -> Dataset:
         classes, features, count = (int(p) for p in parts)
         return make_blobs(count=count, classes=classes, dim=features, seed=args.data_seed)
     raise ValueError("provide --dataset FILE or --synth classes,features,count")
-
-
-def _qformat(args: argparse.Namespace) -> runtime.QFormat | None:
-    if args.bits is None:
-        return None
-    return runtime.QFormat(total_bits=args.bits, integer_bits=min(args.int_bits, args.bits))
 
 
 def _add_data_args(sub: argparse.ArgumentParser) -> None:
@@ -105,7 +109,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 for site, table in tables.items()
             },
         }
-        _write_json(masks_out, doc)
+        write_json(masks_out, doc)
         me = replace(me, mask_file=masks_out.name)
         print(f"wrote {masks_out}")
 
@@ -143,7 +147,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     me = netspec.load_multi_exit(args.spec)
     weights = runtime.load_weights(args.weights)
     data = _load_data(args)
-    qformat = _qformat(args)
+    qformat = runtime.datapath_format(args.bits, args.int_bits)
     flops = metrics.count_flops(me)
     n_sample = me.n_exit * args.n_pass
 
@@ -188,7 +192,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     noise = noise_like(data, args.noise_count, derive_seed(args.seed, "noise"))
     report["ape"] = metrics.average_predictive_entropy(me, weights, noise, args.n_pass, qformat)
 
-    _write_json(args.out, report)
+    write_json(args.out, report)
     if args.csv:
         metrics.write_csv(args.csv, [report], sorted(report))
         print(f"wrote {args.csv}")
@@ -214,44 +218,30 @@ def _result_doc(r: explorer.PointResult) -> dict[str, Any]:
     return doc
 
 
-def cmd_explore(args: argparse.Namespace) -> int:
-    config = json.loads(Path(args.config).read_text())
-    allowed = {
-        "network",
-        "dataset",
-        "grids",
-        "constraints",
-        "priority",
-        "settings",
-        "seed",
-        "noise_count",
-        "hardware",
-    }
-    unknown = set(config) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+def _config_dataset(doc: Any) -> Dataset:
+    source = fields(doc, "dataset config")
+    if not {"path", "blobs"} & source.keys():
+        raise ValueError("dataset config needs 'path' or 'blobs'")
+    fields(source, "dataset config", ("path", "blobs"))
+    if "path" in source:
+        return load_dataset(source["path"])
+    blob_args = inspect.signature(make_blobs).parameters
+    return make_blobs(**fields(source["blobs"], "dataset blobs", blob_args, ("count", "classes")))
 
+
+def cmd_explore(args: argparse.Namespace) -> int:
+    required = ("network", "dataset", "constraints", "priority")
+    config = fields(read_json(args.config), "config", CONFIG_KEYS, required)
     network = config["network"]
     if isinstance(network, str):
         net = netspec.load_network(network)
     else:
         net = netspec.parse_network(network)
-
-    dataset_cfg = config["dataset"]
-    if "path" in dataset_cfg:
-        data = load_dataset(dataset_cfg["path"])
-    elif "blobs" in dataset_cfg:
-        data = make_blobs(**dataset_cfg["blobs"])
-    else:
-        raise ValueError("dataset config needs 'path' or 'blobs'")
-
+    data = _config_dataset(config["dataset"])
     grids = explorer.ExplorationGrids.from_dict(config.get("grids", {}))
     constraints = explorer.Constraints.from_dict(config["constraints"])
-    pri = config["priority"]
-    priority = explorer.Priority(
-        metrics=tuple(pri["metrics"]), tolerances=pri.get("tolerances", {})
-    )
-    settings = explorer.EvaluationSettings(**config.get("settings", {}))
+    priority = explorer.Priority.from_dict(config["priority"])
+    settings = explorer.EvaluationSettings.from_dict(config.get("settings", {}))
     hw = mapping.load_hardware_model(config.get("hardware"))
     seed = args.seed if args.seed is not None else config.get("seed", 0)
 
@@ -272,7 +262,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = explorer.results_to_rows(outcome.results)
     metrics.write_csv(out / "results.csv", rows, explorer.LEDGER_FIELDS)
-    _write_json(out / "results.json", [_result_doc(r) for r in outcome.results])
+    write_json(out / "results.json", [_result_doc(r) for r in outcome.results])
 
     optima = explorer.select_optima(outcome.results, constraints)
     best_doc = {
@@ -280,31 +270,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
         "ranking": [_result_doc(r) for r in outcome.ranked],
         "optima": {k: (_result_doc(v) if v else None) for k, v in optima.items()},
     }
-    _write_json(out / "best.json", best_doc)
+    write_json(out / "best.json", best_doc)
 
     if outcome.best is not None:
-        bp = outcome.best.point
-        best_me = explorer.build_point_spec(bp, net, seed, settings)
-        best_flops = metrics.count_flops(best_me)
-        best_plan = mapping.build_mapping(bp.n_sample, bp.mapping_engines)
-        latency = mapping.estimate_latency(best_plan, best_flops, hw)
-        res = mapping.estimate_resources(best_plan, best_me, hw)
-        qformat = None
-        if bp.bitwidth is not None:
-            qformat = runtime.QFormat(
-                total_bits=bp.bitwidth,
-                integer_bits=min(settings.integer_bits, bp.bitwidth),
-            )
-        accel = emitter.emit_plan(
-            best_me,
-            best_plan,
-            hw,
-            latency,
-            res,
-            qformat=qformat,
-            design=bp.to_dict(),
-            metrics_report=outcome.best.report,
-        )
+        accel = explorer.point_plan(outcome.best, net, hw, settings, seed)
         emitter.save_plan(accel, out / "best.plan.json")
         (out / "best.plan.txt").write_text(emitter.render_report(accel))
 
@@ -360,7 +329,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
     frontier = mapping.pareto_mappings(n_sample, flops, hw, me)
     if args.pareto:
-        _write_json(args.pareto, [_mapping_doc(*point) for point in frontier])
+        write_json(args.pareto, [_mapping_doc(*point) for point in frontier])
         print(f"wrote {args.pareto} ({len(frontier)} frontier point(s))")
 
     if args.engines is not None:
@@ -379,7 +348,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise InfeasibleError(
             f"{plan.n_engines} engine(s) exceed the resource budget"
         )
-    _write_json(args.out, _mapping_doc(plan, latency, res))
+    write_json(args.out, _mapping_doc(plan, latency, res))
     print(f"wrote {args.out}")
     print(
         f"strategy={plan.strategy} engines={plan.n_engines} rounds={plan.rounds}"
@@ -400,14 +369,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
     metrics_report = None
     if args.metrics:
-        doc = json.loads(Path(args.metrics).read_text())
-        metrics_report = MetricsReport(
-            accuracy=doc["accuracy"],
-            ece=doc["ece"],
-            ape=doc["ape"],
-            flops_fraction=doc["flops_fraction"],
-            n_sample=doc["n_sample"],
-        )
+        doc = fields(read_json(args.metrics), "metrics report", required=REPORT_KEYS)
+        metrics_report = MetricsReport(**{key: doc[key] for key in REPORT_KEYS})
 
     accel = emitter.emit_plan(
         me,
@@ -415,7 +378,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
         hw,
         latency,
         res,
-        qformat=_qformat(args),
+        qformat=runtime.datapath_format(args.bits, args.int_bits),
         metrics_report=metrics_report,
     )
     emitter.save_plan(accel, args.out)
@@ -524,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, netspec.ParseError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception:

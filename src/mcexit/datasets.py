@@ -7,10 +7,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
 
 import numpy as np
 
+from .documents import field_names, fields, read_json
 from .dropout import derive_seed
 
 
@@ -122,10 +122,7 @@ def save_dataset(data: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    doc = json.loads(Path(path).read_text())
-    unknown = set(doc) - {"features", "labels"}
-    if unknown:
-        raise ValueError(f"unknown dataset keys: {sorted(unknown)}")
+    doc = fields(read_json(path), "dataset", field_names(Dataset), ("features", "labels"))
     return Dataset(
         features=np.asarray(doc["features"], dtype=np.float32),
         labels=np.asarray(doc["labels"], dtype=np.int64),

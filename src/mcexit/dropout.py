@@ -9,9 +9,11 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
+
+from .documents import field_names, fields
 
 DROPOUT_KINDS = ("mcd", "masksembles")
 GRANULARITIES = ("element", "channel")
@@ -88,12 +90,8 @@ class DropoutConfig:
         return out
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "DropoutConfig":
-        allowed = {"kind", "keep_rate", "granularity", "num_masks", "scale", "seed", "inverted"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown dropout config keys: {sorted(unknown)}")
-        return cls(**dict(doc))
+    def from_dict(cls, doc: Any) -> "DropoutConfig":
+        return cls(**fields(doc, "dropout config", field_names(cls), ("kind",)))
 
 
 def config_digest(cfg: DropoutConfig) -> str:
@@ -264,11 +262,9 @@ class MaskSet:
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "MaskSet":
-        allowed = {"feature_count", "num_masks", "scale", "masks"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown mask set keys: {sorted(unknown)}")
+    def from_dict(cls, doc: Any) -> "MaskSet":
+        allowed = ("feature_count", "num_masks", "scale", "masks")
+        doc = fields(doc, "mask set", allowed, ("feature_count", "scale", "masks"))
         masks = np.asarray(doc["masks"], dtype=np.uint8)
         if "num_masks" in doc and int(doc["num_masks"]) != masks.shape[0]:
             raise ValueError("num_masks disagrees with mask table height")

@@ -10,12 +10,12 @@ form is byte-stable for identical inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from . import inference, netspec
+from .documents import dumps, field_names, fields, loads, read_json, write_json
 from .mapping import (
     RESOURCE_KEYS,
     HardwareModel,
@@ -67,10 +67,12 @@ class AcceleratorPlan:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "AcceleratorPlan":
-        if doc.get("schema_version") != SCHEMA_VERSION:
+    def from_dict(cls, doc: Any) -> "AcceleratorPlan":
+        names = field_names(cls)
+        doc = fields(doc, "plan", names, sorted(names - {"design", "metrics"}))
+        if doc["schema_version"] != SCHEMA_VERSION:
             raise EmitError(
-                f"unsupported plan schema {doc.get('schema_version')!r},"
+                f"unsupported plan schema {doc['schema_version']!r},"
                 f" expected {SCHEMA_VERSION}"
             )
         return cls(
@@ -230,19 +232,19 @@ def emit_plan(
 
 
 def plan_to_json(plan: AcceleratorPlan) -> str:
-    return json.dumps(plan.to_dict(), sort_keys=True, indent=2) + "\n"
+    return dumps(plan.to_dict())
 
 
 def plan_from_json(text: str) -> AcceleratorPlan:
-    return AcceleratorPlan.from_dict(json.loads(text))
+    return AcceleratorPlan.from_dict(loads(text, "plan"))
 
 
 def save_plan(plan: AcceleratorPlan, path: str | Path) -> None:
-    Path(path).write_text(plan_to_json(plan))
+    write_json(path, plan.to_dict())
 
 
 def load_plan(path: str | Path) -> AcceleratorPlan:
-    return plan_from_json(Path(path).read_text())
+    return AcceleratorPlan.from_dict(read_json(path))
 
 
 def _unit_pseudocode(unit: Mapping[str, Any]) -> list[str]:

@@ -15,8 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
-from . import inference, mapping, metrics, netspec, runtime, train
+from . import emitter, inference, mapping, metrics, netspec, runtime, train
 from .datasets import Dataset, noise_like, train_test_split
+from .documents import ParseError, field_names, fields
 from .dropout import DropoutConfig, derive_seed
 from .mapping import HardwareModel, LatencyEstimate
 from .metrics import MetricsReport
@@ -90,8 +91,9 @@ class DesignPoint:
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "DesignPoint":
-        return cls(**dict(doc))
+    def from_dict(cls, doc: Any) -> "DesignPoint":
+        names = field_names(cls)
+        return cls(**fields(doc, "design point", names, sorted(names - {"threshold"})))
 
 
 @dataclass(frozen=True)
@@ -112,22 +114,12 @@ class ExplorationGrids:
     thresholds: tuple[float | None, ...] = (None,)
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "ExplorationGrids":
-        allowed = {
-            "mcd_rates",
-            "masksembles_scales",
-            "n_exits",
-            "n_passes",
-            "bitwidths",
-            "channel_fractions",
-            "engines",
-            "thresholds",
-        }
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-        kwargs = {k: tuple(v) for k, v in doc.items()}
-        return cls(**kwargs)
+    def from_dict(cls, doc: Any) -> "ExplorationGrids":
+        doc = fields(doc, "grid", field_names(cls))
+        for key, values in doc.items():
+            if not isinstance(values, (list, tuple)):
+                raise ParseError(f"grid {key!r} must be a list, got {type(values).__name__}")
+        return cls(**{k: tuple(v) for k, v in doc.items()})
 
 
 def enumerate_design_points(grids: ExplorationGrids) -> list[DesignPoint]:
@@ -194,6 +186,11 @@ class EvaluationSettings:
         if self.exit_mode not in inference.EXIT_MODES:
             raise ValueError(f"exit_mode must be one of {inference.EXIT_MODES}")
 
+    @classmethod
+    def from_dict(cls, doc: Any) -> "EvaluationSettings":
+        """Every field but base_weights, which a JSON document cannot hold."""
+        return cls(**fields(doc, "settings", field_names(cls) - {"base_weights"}))
+
 
 @dataclass(frozen=True)
 class Constraints:
@@ -219,19 +216,8 @@ class Constraints:
             raise ValueError("at least one constraint must be active")
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "Constraints":
-        allowed = {
-            "min_accuracy",
-            "max_ece",
-            "min_ape",
-            "max_flops_fraction",
-            "max_latency_ms",
-            "require_fit",
-        }
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown constraint keys: {sorted(unknown)}")
-        return cls(**dict(doc))
+    def from_dict(cls, doc: Any) -> "Constraints":
+        return cls(**fields(doc, "constraint", field_names(cls)))
 
 
 @dataclass(frozen=True)
@@ -254,6 +240,11 @@ class Priority:
         tol = dict(_DEFAULT_TOLERANCE)
         tol.update(self.tolerances)
         object.__setattr__(self, "tolerances", tol)
+
+    @classmethod
+    def from_dict(cls, doc: Any) -> "Priority":
+        doc = fields(doc, "priority", field_names(cls), ("metrics",))
+        return cls(metrics=tuple(doc["metrics"]), tolerances=doc.get("tolerances", {}))
 
 
 @dataclass(frozen=True)
@@ -349,13 +340,7 @@ def evaluate_design_point(
                 ),
             )
 
-        qformat = None
-        if dp.bitwidth is not None:
-            qformat = runtime.QFormat(
-                total_bits=dp.bitwidth,
-                integer_bits=min(settings.integer_bits, dp.bitwidth),
-            )
-
+        qformat = runtime.datapath_format(dp.bitwidth, settings.integer_bits)
         eval_seed = derive_seed(seed, "eval", dp.key())
         flop_report = metrics.count_flops(me)
         baseline_shapes = [base_net.input_shape] + netspec.infer_shapes(
@@ -413,6 +398,28 @@ def evaluate_design_point(
         )
     except Exception as err:  # recorded, never aborts the sweep
         return PointResult(point=dp, error=f"{type(err).__name__}: {err}")
+
+
+def point_plan(
+    result: PointResult,
+    base_net: NetworkSpec,
+    hw: HardwareModel,
+    settings: EvaluationSettings,
+    seed: int,
+) -> emitter.AcceleratorPlan:
+    """The accelerator plan of an evaluated design point, from the spec,
+    estimates and metrics its evaluation gave."""
+    dp = result.point
+    return emitter.emit_plan(
+        build_point_spec(dp, base_net, seed, settings),
+        mapping.build_mapping(dp.n_sample, dp.mapping_engines),
+        hw,
+        result.latency,
+        mapping.ResourceEstimate(usage=result.resources, fits=result.fits),
+        qformat=runtime.datapath_format(dp.bitwidth, settings.integer_bits),
+        design=dp.to_dict(),
+        metrics_report=result.report,
+    )
 
 
 def _satisfies(result: PointResult, constraints: Constraints) -> bool:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from . import netspec, runtime
+from .documents import fields
 from .dropout import (
     DropoutConfig,
     MaskSet,
@@ -77,7 +78,9 @@ class PredictionSet:
         return out
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "PredictionSet":
+    def from_dict(cls, doc: Any) -> "PredictionSet":
+        keys = ("n_exit", "n_pass", "class_count", "samples", "seed", "dropout_config_digest")
+        doc = fields(doc, "prediction set", keys, keys[:4])
         n_exit, n_pass, classes = int(doc["n_exit"]), int(doc["n_pass"]), int(doc["class_count"])
         samples = np.asarray(doc["samples"], dtype=np.float64).reshape(n_exit, n_pass, classes)
         return cls(samples=samples, n_exit=n_exit, n_pass=n_pass, class_count=classes)

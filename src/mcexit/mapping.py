@@ -10,13 +10,13 @@ between design points, not for signing off a floorplan.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
+from .documents import field_names, fields, read_json, write_json
 from .metrics import FlopReport
 from .netspec import MultiExitSpec
 
@@ -38,14 +38,10 @@ class HardwareModel:
         if self.ops_per_cycle_per_engine <= 0 or self.clock_mhz <= 0:
             raise ValueError("throughput and clock must be positive")
         for name, table in (("engine_cost", self.engine_cost), ("budget", self.budget)):
-            missing = set(RESOURCE_KEYS) - set(table)
-            if missing:
-                raise ValueError(f"{name} missing resource keys: {sorted(missing)}")
+            fields(table, name, required=RESOURCE_KEYS)
             if any(v < 0 for v in table.values()):
                 raise ValueError(f"{name} entries must be non-negative")
-        extra = set(self.dropout_unit_cost) - {"rng_lut", "mask_rom_bram"}
-        if extra:
-            raise ValueError(f"unknown dropout_unit_cost keys: {sorted(extra)}")
+        fields(self.dropout_unit_cost, "dropout_unit_cost", ("rng_lut", "mask_rom_bram"))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -57,23 +53,17 @@ class HardwareModel:
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "HardwareModel":
-        allowed = {
-            "ops_per_cycle_per_engine",
-            "clock_mhz",
-            "engine_cost",
-            "budget",
-            "dropout_unit_cost",
+    def from_dict(cls, doc: Any) -> "HardwareModel":
+        required = ("ops_per_cycle_per_engine", "clock_mhz", "engine_cost", "budget")
+        doc = fields(doc, "hardware model", field_names(cls), required)
+        tables = {
+            name: {k: float(v) for k, v in fields(doc.get(name, {}), name).items()}
+            for name in ("engine_cost", "budget", "dropout_unit_cost")
         }
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown hardware model keys: {sorted(unknown)}")
         return cls(
             ops_per_cycle_per_engine=float(doc["ops_per_cycle_per_engine"]),
             clock_mhz=float(doc["clock_mhz"]),
-            engine_cost={k: float(v) for k, v in doc["engine_cost"].items()},
-            budget={k: float(v) for k, v in doc["budget"].items()},
-            dropout_unit_cost={k: float(v) for k, v in doc.get("dropout_unit_cost", {}).items()},
+            **tables,
         )
 
 
@@ -95,11 +85,11 @@ def load_hardware_model(path: str | Path | None = None) -> HardwareModel:
         path = os.environ.get(HARDWARE_ENV_VAR)
     if path is None:
         return default_hardware_model()
-    return HardwareModel.from_dict(json.loads(Path(path).read_text()))
+    return HardwareModel.from_dict(read_json(path))
 
 
 def save_hardware_model(hw: HardwareModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(hw.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, hw.to_dict())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ Gaussian noise inputs.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -216,7 +215,3 @@ def write_csv(path: str | Path, rows: Sequence[Mapping[str, Any]], fields: Seque
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row.get(k, "") for k in fields})
-
-
-def write_json(path: str | Path, doc: Any) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

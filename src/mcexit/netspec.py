@@ -10,12 +10,12 @@ structure; tensors live in the runtime module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
+from .documents import ParseError, field_names, fields, read_json, write_json
 from .dropout import DropoutConfig
 
 LAYER_KINDS = (
@@ -33,10 +33,6 @@ POOL_KINDS = ("max_pool", "avg_pool")
 
 _TAIL_MARK = "/tail/"
 _GLOBAL_WINDOW = "global"
-
-
-class ParseError(ValueError):
-    """Raised for malformed layer or network documents."""
 
 
 class ShapeMismatchError(ValueError):
@@ -121,8 +117,16 @@ class Diagnostic:
 # --------------------------------------------------------------------------
 # layer grammar
 
-# name -> (required, validator); optional entries carry their default.
-_NO_PARAM_KINDS = ("relu", "softmax", "flatten", "dropout_point")
+# kind -> (allowed params, required params); kinds not listed take none.
+_PARAMS = {
+    "conv2d": (
+        ("in_channels", "out_channels", "kernel_h", "kernel_w", "stride", "padding"),
+        ("in_channels", "out_channels", "kernel_h", "kernel_w"),
+    ),
+    "dense": (("in_features", "out_features"), ("in_features", "out_features")),
+    "max_pool": (("window", "stride"), ("window",)),
+    "avg_pool": (("window", "stride"), ("window",)),
+}
 
 
 def _check_positive_int(name: str, value: Any, layer_id: str) -> int:
@@ -149,37 +153,18 @@ def normalize_layer(layer: LayerSpec) -> LayerSpec:
     """Validate parameters for the layer kind and fill defaults."""
     if layer.kind not in LAYER_KINDS:
         raise ParseError(f"layer {layer.id!r}: unknown kind {layer.kind!r}")
-    p = dict(layer.params)
-    if layer.kind == "conv2d":
-        allowed = {"in_channels", "out_channels", "kernel_h", "kernel_w", "stride", "padding"}
-        unknown = set(p) - allowed
-        if unknown:
-            raise ParseError(f"layer {layer.id!r}: unknown conv2d params {sorted(unknown)}")
-        for name in ("in_channels", "out_channels", "kernel_h", "kernel_w"):
-            if name not in p:
-                raise ParseError(f"layer {layer.id!r}: conv2d requires {name}")
+    allowed, required = _PARAMS.get(layer.kind, ((), ()))
+    p = dict(fields(layer.params, f"layer {layer.id!r} {layer.kind} param", allowed, required))
+    if layer.kind in LEARNABLE_KINDS:
+        for name in required:
             _check_positive_int(name, p[name], layer.id)
+    if layer.kind == "conv2d":
         p.setdefault("stride", 1)
         p.setdefault("padding", 0)
         _check_positive_int("stride", p["stride"], layer.id)
         if not isinstance(p["padding"], int) or p["padding"] < 0:
             raise ParseError(f"layer {layer.id!r}: padding must be a non-negative integer")
-    elif layer.kind == "dense":
-        allowed = {"in_features", "out_features"}
-        unknown = set(p) - allowed
-        if unknown:
-            raise ParseError(f"layer {layer.id!r}: unknown dense params {sorted(unknown)}")
-        for name in allowed:
-            if name not in p:
-                raise ParseError(f"layer {layer.id!r}: dense requires {name}")
-            _check_positive_int(name, p[name], layer.id)
     elif layer.kind in POOL_KINDS:
-        allowed = {"window", "stride"}
-        unknown = set(p) - allowed
-        if unknown:
-            raise ParseError(f"layer {layer.id!r}: unknown pool params {sorted(unknown)}")
-        if "window" not in p:
-            raise ParseError(f"layer {layer.id!r}: pool requires window")
         p["window"] = _check_window(p["window"], layer.id)
         if "stride" in p:
             _check_positive_int("stride", p["stride"], layer.id)
@@ -187,23 +172,14 @@ def normalize_layer(layer: LayerSpec) -> LayerSpec:
             p["stride"] = p["window"]
         else:
             p["stride"] = 1
-    else:
-        if p:
-            raise ParseError(f"layer {layer.id!r}: kind {layer.kind!r} takes no params")
     return LayerSpec(id=layer.id, kind=layer.kind, params=p)
 
 
-def parse_layer(doc: Mapping[str, Any]) -> LayerSpec:
-    unknown = set(doc) - {"id", "kind", "params"}
-    if unknown:
-        raise ParseError(f"unknown layer keys: {sorted(unknown)}")
-    if "id" not in doc or "kind" not in doc:
-        raise ParseError("layer requires id and kind")
+def parse_layer(doc: Any) -> LayerSpec:
+    doc = fields(doc, "layer", field_names(LayerSpec), ("id", "kind"))
     if not isinstance(doc["id"], str) or not doc["id"]:
         raise ParseError("layer id must be a non-empty string")
-    return normalize_layer(
-        LayerSpec(id=doc["id"], kind=doc["kind"], params=dict(doc.get("params", {})))
-    )
+    return normalize_layer(LayerSpec(id=doc["id"], kind=doc["kind"], params=doc.get("params", {})))
 
 
 def layer_to_dict(layer: LayerSpec) -> dict[str, Any]:
@@ -360,14 +336,10 @@ def deepest_attach(me: MultiExitSpec) -> int:
 # document parsing
 
 
-def parse_network(doc: Mapping[str, Any]) -> NetworkSpec:
-    unknown = set(doc) - {"input_shape", "layers"}
-    if unknown & {"exits", "dropout", "mask_file"}:
+def parse_network(doc: Any) -> NetworkSpec:
+    if isinstance(doc, Mapping) and {"exits", "dropout", "mask_file"} & set(doc):
         raise ParseError("document describes a multi-exit network; use parse_multi_exit")
-    if unknown:
-        raise ParseError(f"unknown network keys: {sorted(unknown)}")
-    if "input_shape" not in doc or "layers" not in doc:
-        raise ParseError("network requires input_shape and layers")
+    doc = fields(doc, "network", field_names(NetworkSpec), ("input_shape", "layers"))
     shape = tuple(doc["input_shape"])
     if not shape or not all(isinstance(d, int) and d >= 1 for d in shape):
         raise ParseError("input_shape must be a non-empty list of positive integers")
@@ -393,19 +365,15 @@ def serialize_network(net: NetworkSpec) -> dict[str, Any]:
     }
 
 
-def parse_multi_exit(doc: Mapping[str, Any]) -> MultiExitSpec:
-    allowed = {"input_shape", "layers", "exits", "dropout", "mask_file"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ParseError(f"unknown multi-exit keys: {sorted(unknown)}")
-    if "exits" not in doc or not doc["exits"]:
+def parse_multi_exit(doc: Any) -> MultiExitSpec:
+    allowed = ("input_shape", "layers", "exits", "dropout", "mask_file")
+    doc = fields(doc, "multi-exit", allowed, ("input_shape", "layers", "exits"))
+    if not doc["exits"]:
         raise ParseError("multi-exit document requires a non-empty exits list")
     trunk = parse_network({"input_shape": doc["input_shape"], "layers": doc["layers"]})
     exits = []
     for item in doc["exits"]:
-        extra = set(item) - {"exit_index", "attach_after", "head_layers"}
-        if extra:
-            raise ParseError(f"unknown exit keys: {sorted(extra)}")
+        item = fields(item, "exit", field_names(ExitSpec), ("exit_index", "head_layers"))
         exits.append(
             ExitSpec(
                 exit_index=int(item["exit_index"]),
@@ -446,21 +414,19 @@ def serialize_multi_exit(me: MultiExitSpec) -> dict[str, Any]:
 
 
 def load_network(path: str | Path) -> NetworkSpec:
-    with open(path) as fh:
-        return parse_network(json.load(fh))
+    return parse_network(read_json(path))
 
 
 def save_network(net: NetworkSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(serialize_network(net), indent=2, sort_keys=True) + "\n")
+    write_json(path, serialize_network(net))
 
 
 def load_multi_exit(path: str | Path) -> MultiExitSpec:
-    with open(path) as fh:
-        return parse_multi_exit(json.load(fh))
+    return parse_multi_exit(read_json(path))
 
 
 def save_multi_exit(me: MultiExitSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(serialize_multi_exit(me), indent=2, sort_keys=True) + "\n")
+    write_json(path, serialize_multi_exit(me))
 
 
 # --------------------------------------------------------------------------

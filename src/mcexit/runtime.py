@@ -9,15 +9,15 @@ format.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
 from . import netspec
+from .documents import field_names, fields, read_json, write_json
 from .dropout import derive_seed
 from .netspec import LayerSpec, ShapeMismatchError
 
@@ -70,11 +70,16 @@ class QFormat:
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "QFormat":
-        unknown = set(doc) - {"total_bits", "integer_bits", "mode", "saturating"}
-        if unknown:
-            raise ValueError(f"unknown qformat keys: {sorted(unknown)}")
-        return cls(**dict(doc))
+    def from_dict(cls, doc: Any) -> "QFormat":
+        return cls(**fields(doc, "qformat", field_names(cls), ("total_bits", "integer_bits")))
+
+
+def datapath_format(bits: int | None, integer_bits: int) -> QFormat | None:
+    """The format of a bits-wide datapath, or None for float; integer_bits
+    is clamped to the width."""
+    if bits is None:
+        return None
+    return QFormat(total_bits=bits, integer_bits=min(integer_bits, bits))
 
 
 def quantize(x: np.ndarray | float, q: QFormat) -> np.ndarray | float:
@@ -381,6 +386,10 @@ def quantize_store(store: WeightStore, q: QFormat) -> WeightStore:
 # weights file format: JSON manifest plus little-endian float32 blob
 
 
+_MANIFEST_KEYS = ("format", "version", "blob", "tensors")
+_TENSOR_KEYS = ("layer_id", "tensor_name", "shape", "dtype", "offset", "length")
+
+
 def save_weights(store: WeightStore, manifest_path: str | Path) -> None:
     """Write a manifest listing every tensor and one concatenated blob of
     little-endian float32 data, row-major, in manifest order."""
@@ -405,21 +414,19 @@ def save_weights(store: WeightStore, manifest_path: str | Path) -> None:
             chunks.append(data)
             offset += len(data)
     manifest = {"format": "weights", "version": 1, "blob": blob_path.name, "tensors": tensors}
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
     blob_path.write_bytes(b"".join(chunks))
 
 
 def load_weights(manifest_path: str | Path) -> WeightStore:
     """Read a manifest+blob pair back; rejects offset or length mismatches."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    unknown = set(manifest) - {"format", "version", "blob", "tensors"}
-    if unknown:
-        raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
+    manifest = fields(read_json(manifest_path), "manifest", _MANIFEST_KEYS, ("blob", "tensors"))
     blob = (manifest_path.parent / manifest["blob"]).read_bytes()
     store: WeightStore = {}
     expected_offset = 0
     for entry in manifest["tensors"]:
+        entry = fields(entry, "manifest tensor", _TENSOR_KEYS, _TENSOR_KEYS)
         if entry["dtype"] != "f32le":
             raise ValueError(f"unsupported dtype {entry['dtype']!r}")
         shape = tuple(entry["shape"])

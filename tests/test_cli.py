@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import mlp_doc
-from mcexit import cli, datasets, emitter, explorer, metrics, netspec, runtime
+from mcexit import cli, datasets, documents, emitter, explorer, mapping, metrics, netspec, runtime
 from mcexit.dropout import DropoutConfig
 
 
@@ -918,6 +918,153 @@ class TestEmit:
         assert cli.main(argv + ["--out", str(a)]) == 0
         assert cli.main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _write(root: Path, name: str, text: str) -> str:
+    path = root / name
+    path.write_text(text)
+    return str(path)
+
+
+def _explore(root: Path, *missing: str, **overrides) -> list[str]:
+    """explore on explore_config(root, **overrides) without the missing keys."""
+    path = explore_config(root, **overrides)
+    doc = json.loads(path.read_text())
+    for key in missing:
+        del doc[key]
+    path.write_text(json.dumps(doc))
+    return ["explore", "--config", str(path), "--out", str(root / "sweep")]
+
+
+def _explore_file(root: Path, text: str) -> list[str]:
+    return ["explore", "--config", _write(root, "broken.json", text), "--out", str(root)]
+
+
+def _emit_metrics(ws: Path, root: Path, text: str) -> list[str]:
+    argv = ["emit", "--spec", str(ws / "multi_exit.json"), "--n-sample", "6", "--engines", "2"]
+    return argv + ["--metrics", _write(root, "m.json", text), "--out", str(root / "plan.json")]
+
+
+def _transform(root: Path, text: str) -> list[str]:
+    network = _write(root, "n.json", text)
+    return ["transform", "--network", network, "--out", str(root / "me.json")]
+
+
+def _train(ws: Path, root: Path, text: str) -> list[str]:
+    argv = ["train", "--spec", str(ws / "multi_exit.json")]
+    return argv + ["--dataset", _write(root, "d.json", text), "--out", str(root / "w.json")]
+
+
+BLOBS = {"count": 60, "classes": 3, "dim": 16, "seed": 5}
+
+# (argv from the trained workspace and a scratch dir, what the message must name)
+MALFORMED = [
+    pytest.param(
+        lambda ws, t: _explore_file(t, '[{"a": 1}]'),
+        ["config", "JSON object"],
+        id="config-is-a-list",
+    ),
+    pytest.param(lambda ws, t: _explore(t, dataset=5), ["dataset config"], id="dataset-is-an-int"),
+    pytest.param(
+        lambda ws, t: _explore(t, dataset={"blobs": {**BLOBS, "zzz": 1}}),
+        ["dataset blobs", "zzz"],
+        id="unknown-blobs-key",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, settings={"bogus": 1}),
+        ["settings", "bogus"],
+        id="unknown-settings-key",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, priority={"metrics": ["accuracy"], "bogus": 2}),
+        ["priority", "bogus"],
+        id="unknown-priority-key",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, grids={"n_exits": 3}), ["grid", "n_exits"], id="grid-is-an-int"
+    ),
+    pytest.param(
+        lambda ws, t: _emit_metrics(ws, t, "[1, 2]"), ["metrics report"], id="metrics-is-a-list"
+    ),
+    pytest.param(
+        lambda ws, t: _transform(t, '{"input_shape": [16], "layers": [5]}'),
+        ["layer", "JSON object"],
+        id="layer-is-an-int",
+    ),
+    pytest.param(
+        lambda ws, t: _train(ws, t, "[[1.0]]"), ["dataset", "JSON object"], id="dataset-is-a-list"
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, "priority"), ["config", "priority"], id="config-lacks-priority"
+    ),
+    pytest.param(
+        lambda ws, t: _explore_file(t, '{"network": '),
+        ["broken.json", "not valid JSON"],
+        id="config-is-not-json",
+    ),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, names", MALFORMED)
+    def test_exits_2_naming_the_document_and_key(self, ws, tmp_path, capsys, argv, names):
+        rc = cli.main(argv(ws, tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        for name in names:
+            assert name in err
+
+
+class TestFileFormats:
+    def test_every_json_file_written_is_in_the_one_format(self, ws, explore_out, tmp_path):
+        """Each file the verbs and the library writers write is
+        documents.dumps of its own content."""
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        spec = ["--spec", str(ws / "multi_exit.json")]
+        report = str(tmp_path / "report.json")
+        for argv in (
+            ["transform", "--network", str(write_network(inputs)), "--dropout", "masksembles"]
+            + ["--out", str(tmp_path / "ms.json")],
+            ["evaluate", *spec, "--weights", str(ws / "weights.json"), "--synth", "3,16,30"]
+            + ["--n-pass", "1", "--noise-count", "4", "--out", report],
+            ["map", *spec, "--n-sample", "6", "--out", str(tmp_path / "mapping.json")]
+            + ["--pareto", str(tmp_path / "pareto.json")],
+            ["emit", *spec, "--n-sample", "6", "--engines", "2", "--metrics", report]
+            + ["--out", str(tmp_path / "plan.json")],
+        ):
+            assert cli.main(argv) == 0
+        netspec.save_network(netspec.load_network(inputs / "network.json"), tmp_path / "net.json")
+        mapping.save_hardware_model(mapping.default_hardware_model(), tmp_path / "hw.json")
+        written = [ws / "multi_exit.json", ws / "weights.json"]
+        written += sorted(explore_out.glob("*.json")) + sorted(tmp_path.glob("*.json"))
+        assert [p.name for p in written] == [
+            "multi_exit.json",
+            "weights.json",
+            "best.json",
+            "best.plan.json",
+            "results.json",
+            "hw.json",
+            "mapping.json",
+            "ms.json",
+            "ms.masks.json",
+            "net.json",
+            "pareto.json",
+            "plan.json",
+            "report.json",
+        ]
+        for path in written:
+            text = path.read_text()
+            assert text == documents.dumps(json.loads(text)), path
+
+    def test_dataset_files_are_one_sorted_line(self, tmp_path):
+        path = tmp_path / "data.json"
+        datasets.save_dataset(datasets.make_blobs(count=6, classes=2, dim=2, seed=1), path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert text.count("\n") == 1
 
 
 class TestMainDispatch:

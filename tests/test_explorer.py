@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mlp_doc
-from mcexit import datasets, explorer, netspec, train
+from mcexit import datasets, emitter, explorer, mapping, metrics, netspec, train
 from mcexit.explorer import (
     Constraints,
     DesignPoint,
@@ -17,6 +17,7 @@ from mcexit.explorer import (
 )
 from mcexit.mapping import LatencyEstimate, default_hardware_model
 from mcexit.metrics import MetricsReport
+from mcexit.runtime import QFormat
 
 
 def make_point(**overrides):
@@ -150,6 +151,11 @@ class TestConstraintsAndPriority:
         with pytest.raises(ValueError, match="unknown"):
             Priority(metrics=("throughput",))
 
+    def test_priority_from_dict_rejects_a_misspelt_key(self):
+        assert Priority.from_dict({"metrics": ["ece"]}).metrics == ("ece",)
+        with pytest.raises(ValueError, match="tolerance"):
+            Priority.from_dict({"metrics": ["ece"], "tolerance": {"ece": 0.1}})
+
     def test_priority_tolerance_merge(self):
         pri = Priority(metrics=("accuracy", "flops"), tolerances={"accuracy": 0.01})
         assert pri.tolerances["accuracy"] == 0.01
@@ -270,6 +276,34 @@ class TestEvaluateDesignPoint:
             EvaluationSettings(channel_mode="prune")
         with pytest.raises(ValueError):
             EvaluationSettings(exit_mode="always_last")
+
+    def test_settings_from_dict_takes_every_field_but_base_weights(self):
+        assert EvaluationSettings.from_dict({"epochs": 7, "n_bins": 5}).n_bins == 5
+        with pytest.raises(ValueError, match="base_weights"):
+            EvaluationSettings.from_dict({"base_weights": {}})
+
+    def test_point_plan_matches_a_fresh_mapping(self, sweep_env):
+        """The winner's plan reuses its evaluation's estimates, which must
+        equal a mapping worked out again from its spec. integer_bits 5 is
+        clamped to the 4-bit width."""
+        net, data, hw, _ = sweep_env
+        settings_ = EvaluationSettings(epochs=5, integer_bits=5)
+        dp = make_point(bitwidth=4, mapping_engines=2)
+        result = explorer.evaluate_design_point(dp, net, data, 4, hw, settings_, seed=2)
+        assert result.ok, result.error
+        me = explorer.build_point_spec(dp, net, 2, settings_)
+        plan = mapping.build_mapping(dp.n_sample, dp.mapping_engines)
+        fresh = emitter.emit_plan(
+            me,
+            plan,
+            hw,
+            mapping.estimate_latency(plan, metrics.count_flops(me), hw),
+            mapping.estimate_resources(plan, me, hw),
+            qformat=QFormat(total_bits=4, integer_bits=4),
+            design=dp.to_dict(),
+            metrics_report=result.report,
+        )
+        assert explorer.point_plan(result, net, hw, settings_, 2) == fresh
 
 
 class TestFilterAndRank:

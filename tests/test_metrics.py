@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lenet_doc, rng
-from mcexit import metrics, netspec, runtime
+from mcexit import documents, metrics, netspec, runtime
 from mcexit.datasets import NoiseSpec
 from mcexit.metrics import FlopReport
 
@@ -295,5 +295,5 @@ class TestReportAndWriters:
 
     def test_write_json_is_stable(self, tmp_path):
         path = tmp_path / "doc.json"
-        metrics.write_json(path, {"b": 1, "a": [1, 2]})
+        documents.write_json(path, {"b": 1, "a": [1, 2]})
         assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'

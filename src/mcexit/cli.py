@@ -25,7 +25,7 @@ import numpy as np
 
 from . import emitter, explorer, inference, mapping, metrics, netspec, runtime, train
 from .datasets import Dataset, load_dataset, make_blobs, noise_like
-from .documents import fields, read_json, write_json
+from .documents import ParseError, fields, read_json, write_json
 from .dropout import DropoutConfig, derive_seed
 from .metrics import MetricsReport
 
@@ -242,7 +242,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
     constraints = explorer.Constraints.from_dict(config["constraints"])
     priority = explorer.Priority.from_dict(config["priority"])
     settings = explorer.EvaluationSettings.from_dict(config.get("settings", {}))
-    hw = mapping.load_hardware_model(config.get("hardware"))
+    hardware = config.get("hardware")
+    if hardware is not None and not isinstance(hardware, str):
+        raise ParseError(f"config hardware must be a file path, got {type(hardware).__name__}")
+    hw = mapping.load_hardware_model(hardware)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
 
     outcome = explorer.explore(

@@ -3,8 +3,9 @@
 Every indented JSON file mcexit writes comes from dumps (sorted keys,
 two-space indent, trailing newline), so identical documents give
 identical bytes. Every document it reads passes fields: it must be a
-JSON object with no unknown keys and every required key. Checks on the
-values stay with the type that owns them.
+JSON object with no unknown keys and every required key; array and
+typed check a list and the scalar values of a dataclass document. Other
+checks on the values stay with the type that owns them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class ParseError(ValueError):
@@ -62,4 +63,39 @@ def fields(
     missing = [key for key in required if key not in doc]
     if missing:
         raise ParseError(f"missing {what} keys: {missing}")
+    return doc
+
+
+def array(value: Any, what: str) -> Sequence[Any]:
+    """value, checked to be a JSON array (a list or tuple); what names it
+    in errors."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+_SCALARS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+}
+
+
+def typed(doc: Mapping[str, Any], what: str, cls: type) -> Mapping[str, Any]:
+    """doc, checked that every value of an int, float, str or bool field of
+    the dataclass cls has that JSON type (null too where the field is
+    optional; true and false are not numbers). Other fields are left to
+    cls."""
+    for f in dataclasses.fields(cls):
+        if f.name not in doc:
+            continue
+        kind, _, rest = str(f.type).partition(" | ")
+        value = doc[f.name]
+        if kind not in _SCALARS or (value is None and rest == "None"):
+            continue
+        types, expected = _SCALARS[kind]
+        if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+            got = type(value).__name__
+            raise ParseError(f"{what} key {f.name!r} must be {expected}, got {got}")
     return doc

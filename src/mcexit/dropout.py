@@ -8,8 +8,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -141,23 +142,51 @@ class RngStream:
 _WORD = (1 << 64) - 1
 
 
+_THREAD = threading.local()
+
+
+def _rekeyer() -> Callable[[int], np.random.Generator]:
+    """This thread's re-keying function, built on the thread's first draw.
+
+    One Philox generator per thread is re-keyed through the public state
+    setter. That skips the OS-entropy SeedSequence every new Philox draws
+    (13-16 us each), and no generator state is shared across threads.
+    """
+    try:
+        return _THREAD.rekey
+    except AttributeError:
+        pass
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # a copy: counter and buffer at zero
+    words = fresh["state"]["key"]
+
+    def rekey(key: int) -> np.random.Generator:
+        words[0], words[1] = key & _WORD, key >> 64
+        bitgen.state = fresh
+        return gen
+
+    _THREAD.rekey = rekey
+    return rekey
+
+
+def keyed_generator(key: int) -> np.random.Generator:
+    """This thread's generator at the start of the stream with Philox key
+    `key`: the bits of np.random.Generator(np.random.Philox(key=key)). It
+    is valid until the thread's next keyed_generator or stream_uniforms
+    call."""
+    return _rekeyer()(key)
+
+
 def stream_uniforms(keys: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
     """Row r holds the first uniforms of the stream with Philox key
     keys[r], bit for bit what RngStream(...).uniform(shape) returns for
-    the triple that stream_key maps to keys[r].
-
-    One generator is re-keyed per row through the public state setter,
-    which skips the entropy-seeded SeedSequence that every new Philox
-    builds. It stays local to the call, so concurrent calls share nothing.
-    """
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
+    the triple that stream_key maps to keys[r]. Every row re-keys the
+    thread's one generator (see keyed_generator)."""
+    rekey = _rekeyer()
     out = np.empty((len(keys), *shape))
     for row, key in zip(out, keys):
-        state["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
-        bitgen.state = state
-        gen.random(out=row)
+        rekey(key).random(out=row)
     return out
 
 

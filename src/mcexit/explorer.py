@@ -17,7 +17,7 @@ from typing import Any, Mapping, Sequence
 
 from . import emitter, inference, mapping, metrics, netspec, runtime, train
 from .datasets import Dataset, noise_like, train_test_split
-from .documents import ParseError, field_names, fields
+from .documents import ParseError, array, field_names, fields, typed
 from .dropout import DropoutConfig, derive_seed
 from .mapping import HardwareModel, LatencyEstimate
 from .metrics import MetricsReport
@@ -189,7 +189,8 @@ class EvaluationSettings:
     @classmethod
     def from_dict(cls, doc: Any) -> "EvaluationSettings":
         """Every field but base_weights, which a JSON document cannot hold."""
-        return cls(**fields(doc, "settings", field_names(cls) - {"base_weights"}))
+        doc = fields(doc, "settings", field_names(cls) - {"base_weights"})
+        return cls(**typed(doc, "settings", cls))
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class Constraints:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Constraints":
-        return cls(**fields(doc, "constraint", field_names(cls)))
+        return cls(**typed(fields(doc, "constraint", field_names(cls)), "constraint", cls))
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,14 @@ class Priority:
         unknown = set(self.metrics) - set(METRIC_NAMES)
         if unknown:
             raise ValueError(f"unknown priority metrics: {sorted(unknown)}")
+        unknown = set(self.tolerances) - set(METRIC_NAMES)
+        if unknown:
+            raise ValueError(f"unknown priority tolerances: {sorted(unknown)}")
+        for name, value in self.tolerances.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(
+                    f"priority tolerance {name!r} must be a number, got {type(value).__name__}"
+                )
         tol = dict(_DEFAULT_TOLERANCE)
         tol.update(self.tolerances)
         object.__setattr__(self, "tolerances", tol)
@@ -244,7 +253,11 @@ class Priority:
     @classmethod
     def from_dict(cls, doc: Any) -> "Priority":
         doc = fields(doc, "priority", field_names(cls), ("metrics",))
-        return cls(metrics=tuple(doc["metrics"]), tolerances=doc.get("tolerances", {}))
+        metrics = array(doc["metrics"], "priority metrics")
+        if not all(isinstance(name, str) for name in metrics):
+            raise ParseError(f"priority metrics must be metric names, got {metrics}")
+        tolerances = fields(doc.get("tolerances", {}), "priority tolerances")
+        return cls(metrics=tuple(metrics), tolerances=tolerances)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .documents import ParseError, field_names, fields, read_json, write_json
+from .documents import ParseError, array, field_names, fields, read_json, write_json
 from .dropout import DropoutConfig
 
 LAYER_KINDS = (
@@ -340,12 +340,12 @@ def parse_network(doc: Any) -> NetworkSpec:
     if isinstance(doc, Mapping) and {"exits", "dropout", "mask_file"} & set(doc):
         raise ParseError("document describes a multi-exit network; use parse_multi_exit")
     doc = fields(doc, "network", field_names(NetworkSpec), ("input_shape", "layers"))
-    shape = tuple(doc["input_shape"])
+    shape = tuple(array(doc["input_shape"], "network input_shape"))
     if not shape or not all(isinstance(d, int) and d >= 1 for d in shape):
         raise ParseError("input_shape must be a non-empty list of positive integers")
     if len(shape) not in (1, 3):
         raise ParseError(f"input_shape must be rank 1 or 3, got {shape}")
-    layers = tuple(parse_layer(item) for item in doc["layers"])
+    layers = tuple(parse_layer(item) for item in array(doc["layers"], "network layers"))
     if not layers:
         raise ParseError("network requires at least one layer")
     seen: set[str] = set()
@@ -368,17 +368,18 @@ def serialize_network(net: NetworkSpec) -> dict[str, Any]:
 def parse_multi_exit(doc: Any) -> MultiExitSpec:
     allowed = ("input_shape", "layers", "exits", "dropout", "mask_file")
     doc = fields(doc, "multi-exit", allowed, ("input_shape", "layers", "exits"))
-    if not doc["exits"]:
+    if not array(doc["exits"], "multi-exit exits"):
         raise ParseError("multi-exit document requires a non-empty exits list")
     trunk = parse_network({"input_shape": doc["input_shape"], "layers": doc["layers"]})
     exits = []
     for item in doc["exits"]:
         item = fields(item, "exit", field_names(ExitSpec), ("exit_index", "head_layers"))
+        head = array(item["head_layers"], "exit head_layers")
         exits.append(
             ExitSpec(
                 exit_index=int(item["exit_index"]),
                 attach_after=item.get("attach_after"),
-                head_layers=tuple(parse_layer(l) for l in item["head_layers"]),
+                head_layers=tuple(parse_layer(l) for l in head),
             )
         )
     dropout = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import netspec
 from .documents import field_names, fields, read_json, write_json
-from .dropout import derive_seed
+from .dropout import derive_seed, keyed_generator
 from .netspec import LayerSpec, ShapeMismatchError
 
 ALLOWED_TOTAL_BITS = (4, 6, 8, 16)
@@ -329,7 +329,7 @@ def init_weights(layers: Iterable[LayerSpec], seed: int) -> WeightStore:
             continue
         fan_in, fan_out = _fans(layer)
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        gen = np.random.Generator(np.random.Philox(key=derive_seed(seed, "init", layer.id)))
+        gen = keyed_generator(derive_seed(seed, "init", layer.id))
         w = gen.uniform(-bound, bound, size=_weight_shape(layer)).astype(np.float32)
         b = np.zeros(_weight_shape(layer)[0], dtype=np.float32)
         store[layer.id] = {"weights": w, "bias": b}

@@ -1002,6 +1002,36 @@ MALFORMED = [
         ["broken.json", "not valid JSON"],
         id="config-is-not-json",
     ),
+    pytest.param(
+        lambda ws, t: _transform(t, '{"input_shape": [16], "layers": 5}'),
+        ["network", "layers", "JSON array"],
+        id="layers-is-an-int",
+    ),
+    pytest.param(
+        lambda ws, t: _transform(t, json.dumps({**mlp_doc(), "input_shape": 16})),
+        ["network", "input_shape", "JSON array"],
+        id="input-shape-is-an-int",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, priority={"metrics": 5}),
+        ["priority", "metrics", "JSON array"],
+        id="priority-metrics-is-an-int",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, hardware={"luts": 1}),
+        ["config", "hardware", "path"],
+        id="hardware-is-an-object",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, settings={"epochs": "3"}),
+        ["settings", "epochs", "integer"],
+        id="settings-value-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, priority={"metrics": ["accuracy"], "tolerances": {"acuracy": 1}}),
+        ["priority", "tolerances", "acuracy"],
+        id="misspelt-priority-tolerance",
+    ),
 ]
 
 

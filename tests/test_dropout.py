@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,11 @@ from mcexit.dropout import (
     config_digest,
     derive_seed,
     generate_masks,
+    keyed_generator,
     masksembles_forward,
     mcd_forward,
+    stream_key,
+    stream_uniforms,
 )
 
 
@@ -92,6 +98,58 @@ class TestRngStream:
     def test_uniforms_in_unit_interval(self, seed, sample):
         u = RngStream(seed, sample, "site").uniform(64)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
+
+
+class TestKeyedGenerators:
+    def test_keyed_generator_is_a_fresh_philox(self):
+        for key in (0, 7, derive_seed(3, "shuffle", 1), stream_key(5, 2, "exit1/drop0")):
+            fresh = [np.random.Generator(np.random.Philox(key=key)) for _ in range(2)]
+            np.testing.assert_array_equal(keyed_generator(key).random(9), fresh[0].random(9))
+            np.testing.assert_array_equal(
+                keyed_generator(key).permutation(11), fresh[1].permutation(11)
+            )
+
+    def test_each_thread_has_its_own_generator(self):
+        mine = keyed_generator(1)
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.append(keyed_generator(1)))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert theirs[0] is not mine
+
+    def test_rows_unchanged_when_threads_draw_at_once(self):
+        """Four threads (more than the cores of a small host), switched as
+        often as the interpreter allows, each draw the same rows in their
+        own order; a generator shared across threads would mix streams."""
+        keys = [stream_key(9, i, f"exit{i % 3}/drop0") for i in range(48)]
+        expected = np.stack(
+            [RngStream(9, i, f"exit{i % 3}/drop0").uniform((4, 5)) for i in range(48)]
+        )
+        orders = [np.roll(np.arange(48), 11 * who) for who in range(4)]
+        start = threading.Barrier(len(orders))
+        results: dict[int, list[np.ndarray]] = {who: [] for who in range(len(orders))}
+
+        def draw(who: int) -> None:
+            start.wait(timeout=10)
+            for _ in range(40):
+                results[who].append(stream_uniforms([keys[i] for i in orders[who]], (4, 5)))
+
+        workers = [threading.Thread(target=draw, args=(who,)) for who in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for who, order in enumerate(orders):
+            assert len(results[who]) == 40
+            for out in results[who]:
+                np.testing.assert_array_equal(out, expected[order])
 
 
 class TestMcdForward:

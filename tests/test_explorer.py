@@ -156,6 +156,23 @@ class TestConstraintsAndPriority:
         with pytest.raises(ValueError, match="tolerance"):
             Priority.from_dict({"metrics": ["ece"], "tolerance": {"ece": 0.1}})
 
+    def test_priority_tolerances_name_metrics_and_hold_numbers(self):
+        with pytest.raises(ValueError, match="unknown priority tolerances: \\['acuracy'\\]"):
+            Priority(metrics=("accuracy",), tolerances={"acuracy": 0.5})
+        with pytest.raises(ValueError, match="priority tolerance 'ece' must be a number"):
+            Priority.from_dict({"metrics": ["ece"], "tolerances": {"ece": "0.1"}})
+        with pytest.raises(ValueError, match="priority tolerances must be a JSON object"):
+            Priority.from_dict({"metrics": ["ece"], "tolerances": [0.1]})
+        with pytest.raises(ValueError, match="priority metrics must be a JSON array"):
+            Priority.from_dict({"metrics": "ece"})
+
+    def test_constraints_from_dict_checks_value_types(self):
+        assert Constraints.from_dict({"min_accuracy": None, "max_ece": 1}).max_ece == 1
+        with pytest.raises(ValueError, match="constraint key 'min_accuracy' must be a number"):
+            Constraints.from_dict({"min_accuracy": "0.9"})
+        with pytest.raises(ValueError, match="constraint key 'require_fit' must be true or false"):
+            Constraints.from_dict({"require_fit": "yes"})
+
     def test_priority_tolerance_merge(self):
         pri = Priority(metrics=("accuracy", "flops"), tolerances={"accuracy": 0.01})
         assert pri.tolerances["accuracy"] == 0.01
@@ -281,6 +298,21 @@ class TestEvaluateDesignPoint:
         assert EvaluationSettings.from_dict({"epochs": 7, "n_bins": 5}).n_bins == 5
         with pytest.raises(ValueError, match="base_weights"):
             EvaluationSettings.from_dict({"base_weights": {}})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"epochs": "3"}, "'epochs' must be an integer, got str"),
+            ({"epochs": 3.0}, "'epochs' must be an integer, got float"),
+            ({"batch": True}, "'batch' must be an integer, got bool"),
+            ({"lr": "0.3"}, "'lr' must be a number, got str"),
+            ({"exit_mode": 1}, "'exit_mode' must be a string, got int"),
+        ],
+    )
+    def test_settings_from_dict_rejects_a_value_of_the_wrong_type(self, doc, message):
+        with pytest.raises(ValueError, match=f"settings key {message}"):
+            EvaluationSettings.from_dict(doc)
+        assert EvaluationSettings.from_dict({"lr": 1, "test_fraction": 0.25}).lr == 1
 
     def test_point_plan_matches_a_fresh_mapping(self, sweep_env):
         """The winner's plan reuses its evaluation's estimates, which must

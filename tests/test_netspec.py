@@ -259,6 +259,14 @@ class TestMultiExitSerialization:
         with pytest.raises(ParseError):
             netspec.parse_multi_exit(doc)
 
+    def test_list_fields_must_be_arrays(self):
+        doc = netspec.serialize_multi_exit(build_mcd_spec())
+        with pytest.raises(ParseError, match="multi-exit exits must be a JSON array, got int"):
+            netspec.parse_multi_exit({**doc, "exits": 5})
+        doc["exits"][0]["head_layers"] = {"id": "x"}
+        with pytest.raises(ParseError, match="exit head_layers must be a JSON array, got dict"):
+            netspec.parse_multi_exit(doc)
+
 
 class TestValidate:
     def test_clean_spec_has_no_diagnostics(self):

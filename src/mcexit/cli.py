@@ -246,6 +246,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if hardware is not None and not isinstance(hardware, str):
         raise ParseError(f"config hardware must be a file path, got {type(hardware).__name__}")
     hw = mapping.load_hardware_model(hardware)
+    for key in ("seed", "noise_count"):
+        value = config.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(f"config key {key!r} must be an integer, got {type(value).__name__}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
 
     outcome = explorer.explore(

@@ -85,17 +85,24 @@ _SCALARS = {
 def typed(doc: Mapping[str, Any], what: str, cls: type) -> Mapping[str, Any]:
     """doc, checked that every value of an int, float, str or bool field of
     the dataclass cls has that JSON type (null too where the field is
-    optional; true and false are not numbers). Other fields are left to
-    cls."""
+    optional; true and false are not numbers), and that a tuple[X, ...]
+    field of such an X is an array of such values. Other fields are left
+    to cls."""
     for f in dataclasses.fields(cls):
         if f.name not in doc:
             continue
-        kind, _, rest = str(f.type).partition(" | ")
-        value = doc[f.name]
-        if kind not in _SCALARS or (value is None and rest == "None"):
+        where = f"{what} key {f.name!r}"
+        kind, values = str(f.type), [doc[f.name]]
+        if kind.startswith("tuple[") and kind.endswith(", ...]"):
+            kind, values = kind[len("tuple[") : -len(", ...]")], array(doc[f.name], where)
+            where = f"each value of {where}"
+        kind, _, rest = kind.partition(" | ")
+        if kind not in _SCALARS:
             continue
         types, expected = _SCALARS[kind]
-        if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
-            got = type(value).__name__
-            raise ParseError(f"{what} key {f.name!r} must be {expected}, got {got}")
+        for value in values:
+            if value is None and rest == "None":
+                continue
+            if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+                raise ParseError(f"{where} must be {expected}, got {type(value).__name__}")
     return doc

@@ -4,8 +4,10 @@ Enumerates the full Cartesian grid of design knobs (dropout kind and
 strength, exit count, passes per exit, datapath bitwidth, channel
 fraction, engine count, optional confidence threshold), evaluates every
 point end to end on a toy dataset, then filters by constraints and
-ranks lexicographically with tie tolerances. Failures are recorded per
-point, never aborting a sweep.
+ranks lexicographically with tie tolerances. Points whose networks differ
+only in their dropout config train together in one stacked pass, each to
+the weights it would get alone. Failures are recorded per point, never
+aborting a sweep.
 """
 
 from __future__ import annotations
@@ -115,10 +117,7 @@ class ExplorationGrids:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "ExplorationGrids":
-        doc = fields(doc, "grid", field_names(cls))
-        for key, values in doc.items():
-            if not isinstance(values, (list, tuple)):
-                raise ParseError(f"grid {key!r} must be a list, got {type(values).__name__}")
+        doc = typed(fields(doc, "grid", field_names(cls)), "grid", cls)
         return cls(**{k: tuple(v) for k, v in doc.items()})
 
 
@@ -322,8 +321,10 @@ def evaluate_design_point(
     hw: HardwareModel,
     settings: EvaluationSettings,
     seed: int,
+    weights: runtime.WeightStore | None = None,
 ) -> PointResult:
-    """Build, train, and score one design point end to end.
+    """Build, train, and score one design point end to end. Given the
+    weights train_points trained for it, the point is scored on those.
 
     Any construction or training failure is captured in the result's
     error field so a sweep keeps going.
@@ -332,7 +333,7 @@ def evaluate_design_point(
         me = build_point_spec(dp, base_net, seed, settings)
         train_data, test_data = train_test_split(data, settings.test_fraction, seed)
 
-        if settings.channel_mode == "slice" and dp.channel_fraction != 1.0:
+        if weights is None and _slices(dp, settings):
             if settings.base_weights is None:
                 raise ValueError("channel_mode 'slice' needs base_weights for the full network")
             full = build_point_spec(
@@ -341,17 +342,8 @@ def evaluate_design_point(
             weights = runtime.slice_weights(
                 settings.base_weights, netspec.all_layers(full), netspec.all_layers(me)
             )
-        else:
-            weights = train.train_toy(
-                me,
-                train_data,
-                train.TrainConfig(
-                    lr=settings.lr,
-                    epochs=settings.epochs,
-                    batch=settings.batch,
-                    seed=derive_seed(seed, "train", dp.key()),
-                ),
-            )
+        elif weights is None:
+            weights = train.train_toy(me, train_data, _train_config(dp, settings, seed))
 
         qformat = runtime.datapath_format(dp.bitwidth, settings.integer_bits)
         eval_seed = derive_seed(seed, "eval", dp.key())
@@ -411,6 +403,60 @@ def evaluate_design_point(
         )
     except Exception as err:  # recorded, never aborts the sweep
         return PointResult(point=dp, error=f"{type(err).__name__}: {err}")
+
+
+def _slices(dp: DesignPoint, settings: EvaluationSettings) -> bool:
+    """Whether the point takes its weights from the full network's."""
+    return settings.channel_mode == "slice" and dp.channel_fraction != 1.0
+
+
+def _train_config(dp: DesignPoint, settings: EvaluationSettings, seed: int) -> train.TrainConfig:
+    return train.TrainConfig(
+        lr=settings.lr,
+        epochs=settings.epochs,
+        batch=settings.batch,
+        seed=derive_seed(seed, "train", dp.key()),
+    )
+
+
+def train_points(
+    points: Sequence[DesignPoint],
+    base_net: NetworkSpec,
+    data: Dataset,
+    settings: EvaluationSettings,
+    seed: int,
+) -> list[runtime.WeightStore | None]:
+    """Each point's trained weights, byte for byte what
+    evaluate_design_point trains alone. Points whose specs differ only in
+    their dropout config train together in one train_models call. A point
+    that slices its weights, or whose spec cannot be built or trained,
+    gets None: evaluate_design_point slices, trains or fails it alone."""
+    train_data, _ = train_test_split(data, settings.test_fraction, seed)
+    steps: dict[int, train.TrainStep] = {}
+    groups: list[tuple[netspec.MultiExitSpec, list[int]]] = []
+    for i, dp in enumerate(points):
+        if _slices(dp, settings):
+            continue
+        try:
+            steps[i] = train.TrainStep(build_point_spec(dp, base_net, seed, settings))
+        except Exception:  # the point reports it when it is scored
+            continue
+        shared = replace(steps[i].me, dropout=None)
+        members = next((m for key, m in groups if key == shared), None)
+        if members is None:
+            groups.append((shared, [i]))
+        else:
+            members.append(i)
+    out: list[runtime.WeightStore | None] = [None] * len(points)
+    for _, members in groups:
+        cfgs = [_train_config(points[i], settings, seed) for i in members]
+        try:
+            trained = train.train_models([steps[i] for i in members], train_data, cfgs)
+        except Exception:  # each point trains alone when it is scored
+            continue
+        for i, weights in zip(members, trained):
+            out[i] = weights
+    return out
 
 
 def point_plan(
@@ -511,17 +557,21 @@ def explore(
     noise_count: int = 64,
     jobs: int = 1,
 ) -> ExplorationOutcome:
-    """Enumerate, evaluate (optionally in a thread pool), filter, rank."""
+    """Enumerate, train (train_points), score (optionally in a thread
+    pool), filter, rank."""
     points = enumerate_design_points(grids)
+    trained = train_points(points, base_net, data, settings, seed)
 
-    def run(dp: DesignPoint) -> PointResult:
-        return evaluate_design_point(dp, base_net, data, noise_count, hw, settings, seed)
+    def run(dp: DesignPoint, weights: runtime.WeightStore | None) -> PointResult:
+        return evaluate_design_point(
+            dp, base_net, data, noise_count, hw, settings, seed, weights=weights
+        )
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, points))
+            results = list(pool.map(run, points, trained))
     else:
-        results = [run(dp) for dp in points]
+        results = [run(dp, weights) for dp, weights in zip(points, trained)]
     ranked, best = filter_and_rank(results, constraints, priority)
     return ExplorationOutcome(results=tuple(results), ranked=tuple(ranked), best=best)
 

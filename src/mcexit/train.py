@@ -5,12 +5,17 @@ gradient descent. Dropout stays active during training exactly as
 configured for inference, and every random choice (init, shuffling,
 dropout draws) derives from the config seed, so a rerun reproduces the
 returned weights byte for byte.
+
+Models whose specs differ only in their dropout config train together on
+a leading model axis (train_models): one stacked matmul per layer serves
+them all, and each model's weights are byte for byte what training it
+alone gives. train_toy is the one-model call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,7 +67,9 @@ def _check_trainable(me: MultiExitSpec) -> None:
 
 
 class _Pool:
-    """A rank-1 pooling layer at the width the trainer feeds it."""
+    """A rank-1 pooling layer at the width the trainer feeds it. Its
+    arrays are (batch, width) for one model, (models, batch, width) for a
+    group."""
 
     def __init__(self, layer: LayerSpec, width: int) -> None:
         win = layer.params["window"]
@@ -70,34 +77,43 @@ class _Pool:
             raise TrainingError(f"layer {layer.id!r}: only integer pooling windows are trainable")
         self.is_max = layer.kind == "max_pool"
         self.window, self.stride, self.width = win, layer.params["stride"], width
-        self.count = (width - win) // self.stride + 1
-        self.starts = np.arange(self.count) * self.stride
+        count = (width - win) // self.stride + 1
+        self.starts = np.arange(count) * self.stride
         self.index = self.starts[:, None] + np.arange(win)
+        # tap j of every window: one tap's windows never share an input
+        stop = self.stride * (count - 1) + 1
+        self.taps = [slice(j, j + stop, self.stride) for j in range(win)]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        # A gather, not a reshape view. numpy lays the gathered windows out
-        # batch axis innermost and reduces them tap after tap, which is the
-        # faster here; a view of the rows is summed pairwise from 8 taps on,
-        # which would change the trained bytes.
-        windows = x[:, self.index]
         if self.is_max:
-            return np.maximum.reduce(windows, axis=2), windows.argmax(axis=2)
-        return np.add.reduce(windows, axis=2, dtype=x.dtype) / self.window, None
+            windows = x[..., self.index]
+            return np.maximum.reduce(windows, axis=-1), windows.argmax(axis=-1)
+        if self.window >= 8 and x.shape[-2] == 1:
+            # Taps add one after another below, as numpy sums the gathered
+            # windows of a batch. The contiguous windows of a lone row it
+            # sums pairwise from 8 taps on, and a model's batch of one has
+            # kept that order since before groups: in a group, a
+            # contiguous copy gives each model its own pairwise sums.
+            total = np.add.reduce(np.ascontiguousarray(x[..., self.index]), axis=-1)
+        else:
+            total = x[..., self.taps[0]]
+            for tap in self.taps[1:]:
+                total = total + x[..., tap]
+        return total / self.window, None
 
     def backward(self, grad: np.ndarray, arg: np.ndarray | None) -> np.ndarray:
-        out = np.zeros((len(grad), self.width), dtype=grad.dtype)
+        out = np.zeros((*grad.shape[:-1], self.width), dtype=grad.dtype)
         if self.is_max:
-            at = (np.arange(len(grad))[:, None], self.starts + arg)
+            rows = np.indices(grad.shape[:-1], sparse=True)
+            at = (*(r[..., None] for r in rows), self.starts + arg)
             if self.stride < self.window:
                 np.add.at(out, at, grad)  # overlapping windows can pick one input twice
             else:
                 out[at] += grad
             return out
         share = grad / grad.dtype.type(self.window)
-        stop = self.stride * (self.count - 1) + 1
-        for j in range(self.window):
-            # one tap's windows never share an input; taps add in window order
-            out[:, j : j + stop : self.stride] += share
+        for tap in self.taps:  # taps add in window order
+            out[..., tap] += share
         return out
 
 
@@ -110,7 +126,8 @@ class TrainStep:
 
     def __init__(self, me: MultiExitSpec) -> None:
         _check_trainable(me)
-        self.classes = me.class_count
+        self.me = me
+        self.eye = np.eye(me.class_count, dtype=np.float32)  # one-hot rows by label
         self.trunk = me.trunk.layers[: netspec.deepest_attach(me) + 1]
         self.pools: dict[str, _Pool] = {}
         self.sites: dict[str, int] = {}
@@ -149,7 +166,9 @@ def _forward_layer(
     kind = layer.kind
     if kind == "dense":
         w, b = weights[layer.id]["weights"], weights[layer.id]["bias"]
-        return x @ w.T + b, x
+        out = x @ w.swapaxes(-1, -2)
+        out += b[..., None, :]
+        return out, x
     if kind == "relu":
         return np.maximum(x, 0), x
     if kind == "flatten":
@@ -173,7 +192,10 @@ def _backward_layer(
     at its input, or None when need_input is false."""
     kind = layer.kind
     if kind == "dense":
-        grads[layer.id] = {"weights": grad.T @ ctx, "bias": np.add.reduce(grad, axis=0)}
+        grads[layer.id] = {
+            "weights": grad.swapaxes(-1, -2) @ ctx,
+            "bias": np.add.reduce(grad, axis=-2),
+        }
         return grad @ weights[layer.id]["weights"] if need_input else None
     if not need_input:
         return None
@@ -231,14 +253,18 @@ def loss_and_grads(
     deterministic, differentiable function of the weights; that is what
     makes finite-difference checks of these gradients meaningful. A
     `step` built from `me` saves checking and measuring the spec again.
+
+    x of shape (batch, features) is one model. A group of models that
+    train together passes x of shape (models, batch, features), with y,
+    the draws and every weight stacked on the same leading axis; the loss
+    is then an array of one loss per model and the gradients are stacked.
     """
     step = step if step is not None else TrainStep(me)
     pools = step.pools
     x = np.asarray(x)
     y = np.asarray(y)
-    batch = x.shape[0]
-    onehot = np.zeros((batch, step.classes), dtype=x.dtype)
-    onehot[np.arange(batch), y] = 1
+    batch = x.shape[-2]
+    onehot = step.eye[y].astype(x.dtype, copy=False)
 
     trunk_ctx: list[object] = []
     trunk_acts: dict[str | None, np.ndarray] = {None: x}
@@ -250,7 +276,7 @@ def loss_and_grads(
 
     grads: dict[str, dict[str, np.ndarray]] = {}
     attach_grads: dict[str | None, np.ndarray] = {}
-    total_loss = 0.0
+    total_loss = np.zeros(x.shape[:-2])[()]  # float64, one per model
     for ex in me.exits:
         tape: list[tuple[LayerSpec, object]] = []
         h = trunk_acts[ex.attach_after]
@@ -258,9 +284,9 @@ def loss_and_grads(
             h, ctx = _forward_layer(layer, h, weights, draws, pools)
             tape.append((layer, ctx))
         # fused softmax + cross-entropy on the terminal layer
-        shifted = h - np.maximum.reduce(h, axis=1, keepdims=True)
-        logz = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-        total_loss += float(-(onehot * logz).sum() / batch)
+        shifted = h - np.maximum.reduce(h, axis=-1, keepdims=True)
+        logz = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+        total_loss = total_loss - np.add.reduce(onehot * logz, axis=(-2, -1)) / batch
         g = (np.exp(logz) - onehot) / x.dtype.type(batch)
         for pos in range(len(tape) - 1, -1, -1):
             layer, ctx = tape[pos]
@@ -280,35 +306,74 @@ def loss_and_grads(
             continue
         # the first layer's input gradient would be the data's: nothing uses it
         g = _backward_layer(layer, g, trunk_ctx[pos], weights, grads, pools, pos > 0)
-    return total_loss, grads
+    return (float(total_loss) if x.ndim == 2 else total_loss), grads
 
 
-def train_toy(me: MultiExitSpec, data: Dataset, cfg: TrainConfig) -> WeightStore:
-    """Train and return float32 weights; same seed, same bytes out.
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays on a leading model axis, which a lone model goes without."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
-    The spec is checked and measured once per call (TrainStep); each batch
-    only draws its dropout, runs its forward and backward pass and updates
-    the weights.
+
+def train_models(
+    steps: Sequence[TrainStep], data: Dataset, cfgs: Sequence[TrainConfig]
+) -> list[WeightStore]:
+    """Train one model per (step, cfg) pair together and return each
+    one's float32 weights, byte for byte what train_toy gives it alone.
+
+    The steps' specs must be the same apart from their dropout configs,
+    and the configs the same apart from their seeds. Each model keeps its
+    own init, shuffle and dropout draws. The forward pass, backward pass
+    and update of a batch run once for the whole group, on arrays with a
+    leading model axis.
     """
-    step = TrainStep(me)
-    weights = init_weights(netspec.all_layers(me), cfg.seed)
+    if not steps or len(steps) != len(cfgs):
+        raise ValueError(f"{len(steps)} specs for {len(cfgs)} train configs")
+    me = steps[0].me
+    shared = replace(me, dropout=None)
+    if any(replace(s.me, dropout=None) != shared for s in steps[1:]):
+        raise ValueError("models that train together must differ only in their dropout config")
+    epochs, batch = cfgs[0].epochs, cfgs[0].batch
+    if any((c.lr, c.epochs, c.batch) != (cfgs[0].lr, epochs, batch) for c in cfgs):
+        raise ValueError("models that train together must share lr, epochs and batch")
+    lr = np.float32(cfgs[0].lr)
+
+    models = list(zip(steps, cfgs))
+    stores = [init_weights(netspec.all_layers(s.me), c.seed) for s, c in models]
+    weights = {
+        lid: {name: _stack([s[lid][name] for s in stores]) for name in named}
+        for lid, named in stores[0].items()
+    }
     x_all = np.asarray(data.features, dtype=np.float32)
     y_all = np.asarray(data.labels)
     n = len(x_all)
-    lr = np.float32(cfg.lr)
-    for epoch in range(cfg.epochs):
-        order = keyed_generator(derive_seed(cfg.seed, "shuffle", epoch)).permutation(n)
-        for start in range(0, n, cfg.batch):
-            take = order[start : start + cfg.batch]
-            draws = make_dropout_draws(
-                me,
-                len(take),
-                epoch_positions=np.arange(start, start + len(take)),
-                seed=derive_seed(cfg.seed, "epoch", epoch, "batch", start),
-                step=step,
-            )
-            _, grads = loss_and_grads(me, weights, x_all[take], y_all[take], draws, step=step)
+    positions = np.arange(n)
+    for epoch in range(epochs):
+        order = _stack(
+            [keyed_generator(derive_seed(c.seed, "shuffle", epoch)).permutation(n) for c in cfgs]
+        )
+        for start in range(0, n, batch):
+            take = order[..., start : start + batch]
+            at = positions[start : start + batch]
+            per_model = [
+                make_dropout_draws(
+                    s.me, len(at), at, derive_seed(c.seed, "epoch", epoch, "batch", start), step=s
+                )
+                for s, c in models
+            ]
+            draws = {site: _stack([d[site] for d in per_model]) for site in per_model[0]}
+            _, grads = loss_and_grads(me, weights, x_all[take], y_all[take], draws, step=steps[0])
             for lid, named in grads.items():
                 for name, g in named.items():
                     weights[lid][name] -= lr * g
-    return weights
+    if len(steps) == 1:
+        return [weights]
+    return [
+        {lid: {name: t[m].copy() for name, t in named.items()} for lid, named in weights.items()}
+        for m in range(len(steps))
+    ]
+
+
+def train_toy(me: MultiExitSpec, data: Dataset, cfg: TrainConfig) -> WeightStore:
+    """Train and return float32 weights; same seed, same bytes out: the
+    one-model call of train_models."""
+    return train_models([TrainStep(me)], data, [cfg])[0]

@@ -1032,6 +1032,19 @@ MALFORMED = [
         ["priority", "tolerances", "acuracy"],
         id="misspelt-priority-tolerance",
     ),
+    pytest.param(
+        lambda ws, t: _explore(t, grids={"n_passes": ["2"]}),
+        ["grid", "n_passes", "integer"],
+        id="grid-value-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, noise_count="4"),
+        ["config", "noise_count", "integer"],
+        id="noise-count-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, seed="3"), ["config", "seed", "integer"], id="seed-is-a-string"
+    ),
 ]
 
 

@@ -480,3 +480,52 @@ class TestExploreEndToEnd:
             assert not unknown
             assert row["status"] == "ok"
             assert row["n_sample"] == 4
+
+
+class TestGroupedTraining:
+    """explore trains the points that share a network structure together;
+    every point must score as it does evaluated alone."""
+
+    def test_grouped_explore_matches_each_point_alone(self, monkeypatch):
+        doc = mlp_doc()
+        # d3 at width 4: a channel fraction of 0.125 rounds it to zero, and
+        # the last exit's dropout site is narrower than 8 masks
+        doc["layers"][6]["params"]["out_features"] = 4
+        doc["layers"][8]["params"]["in_features"] = 4
+        net = netspec.parse_network(doc)
+        data = datasets.make_blobs(count=40, classes=3, dim=16, seed=8)
+        hw = default_hardware_model()
+        grids = ExplorationGrids(
+            mcd_rates=(0.25,),
+            masksembles_scales=(2.0,),
+            n_exits=(1, 3),
+            n_passes=(2, 8),
+            channel_fractions=(1.0, 0.5, 0.125),
+        )
+        settings_ = EvaluationSettings(epochs=3, batch=16)
+        alone = [
+            explorer.evaluate_design_point(dp, net, data, 4, hw, settings_, seed=7)
+            for dp in explorer.enumerate_design_points(grids)
+        ]
+
+        groups = []
+        train_models = train.train_models
+
+        def spy(steps, data, cfgs):
+            groups.append(len(steps))
+            return train_models(steps, data, cfgs)
+
+        monkeypatch.setattr(train, "train_models", spy)
+        outcome = explorer.explore(
+            net, grids, Constraints(min_accuracy=0.0), Priority(metrics=("accuracy",)),
+            data, hw, settings_, seed=7, noise_count=4,
+        )
+        assert explorer.results_to_rows(outcome.results) == explorer.results_to_rows(alone)
+        # one group per (channel fraction, exit count) that builds, of three
+        # points: the masksembles points with 8 passes fail and leave theirs
+        assert groups == [3, 3, 3, 3]
+        errors = {r.error.split(":")[0] for r in alone if not r.ok}
+        assert errors == {"ValueError"}
+        assert any("zero width" in r.error for r in alone if not r.ok)
+        assert any("num_masks 8" in r.error for r in alone if not r.ok)
+        assert sum(r.ok for r in alone) == 12

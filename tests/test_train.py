@@ -439,3 +439,85 @@ class TestFrozenReference:
         cfg = train.TrainConfig(lr=0.3, epochs=4, batch=32, seed=1)
         got = weight_bytes(train.train_toy(me, tr, cfg))
         assert got == weight_bytes(_ref_train_toy(me, tr, cfg))
+
+
+class TestTrainModels:
+    """A group trained together gives each model the bytes the frozen
+    reference gives it alone."""
+
+    DATA = TestFrozenReference.DATA  # 45 inputs, a ragged last batch of 13
+    CFG = train.TrainConfig(lr=0.3, epochs=3, batch=16, seed=0)
+
+    def check_group(self, mes, data, cfgs):
+        got = train.train_models([train.TrainStep(me) for me in mes], data, cfgs)
+        assert len(got) == len(mes)
+        for me, cfg, weights in zip(mes, cfgs, got):
+            assert weight_bytes(weights) == weight_bytes(_ref_train_toy(me, data, cfg))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("pool", ["avg3-stride2", "max2-stride1"])
+    def test_every_dropout_kind_in_one_group(self, pool, depth):
+        mes = [pooled_spec(*POOLS[pool], d, depth) for d in DROPOUTS.values()]
+        cfgs = [dataclasses.replace(self.CFG, seed=11 + i) for i in range(len(mes))]
+        self.check_group(mes, self.DATA, cfgs)
+
+    @pytest.mark.parametrize("pool", ["avg_pool", "max_pool"])
+    @pytest.mark.parametrize("stride", [4, 9])
+    def test_wide_windows_and_a_batch_of_one(self, pool, stride):
+        """A lone model sums a 9-tap window of its batch of one pairwise;
+        in the group it must too."""
+        data = datasets.make_blobs(count=33, classes=3, dim=16, seed=6)
+        dropouts = [
+            DROPOUTS["mcd-channel"],
+            DROPOUTS["mcd-element"],
+            DROPOUTS["mcd-inverted"],
+            DropoutConfig(kind="masksembles", num_masks=2, scale=2.0, seed=5),
+        ]
+        mes = [pooled_spec(pool, 9, stride, d, 1) for d in dropouts]
+        cfgs = [dataclasses.replace(self.CFG, seed=4 + i) for i in range(len(mes))]
+        self.check_group(mes, data, cfgs)
+
+    def test_stacked_loss_and_grads_match_each_model_alone(self):
+        mes = [pooled_spec("avg_pool", 3, 2, d, 2) for d in DROPOUTS.values()]
+        steps = [train.TrainStep(me) for me in mes]
+        stores = [runtime.init_weights(netspec.all_layers(me), 20 + i) for i, me in enumerate(mes)]
+        gen = np.random.Generator(np.random.Philox(key=3))
+        x = gen.normal(size=(len(mes), 7, 16)).astype(np.float32)
+        y = gen.integers(0, 3, size=(len(mes), 7))
+        draws = [
+            train.make_dropout_draws(me, 7, np.arange(7), 30 + i, step=s)
+            for i, (me, s) in enumerate(zip(mes, steps))
+        ]
+        stacked = {
+            lid: {name: np.stack([s[lid][name] for s in stores]) for name in named}
+            for lid, named in stores[0].items()
+        }
+        loss, grads = train.loss_and_grads(
+            mes[0],
+            stacked,
+            x,
+            y,
+            {site: np.stack([d[site] for d in draws]) for site in draws[0]},
+            step=steps[0],
+        )
+        assert loss.shape == (len(mes),)
+        for m, (me, store, d) in enumerate(zip(mes, stores, draws)):
+            alone_loss, alone = train.loss_and_grads(me, store, x[m], y[m], d, step=steps[m])
+            assert isinstance(alone_loss, float)
+            assert loss[m] == alone_loss
+            assert {k: {n: g[m].tobytes() for n, g in v.items()} for k, v in grads.items()} == {
+                k: {n: g.tobytes() for n, g in v.items()} for k, v in alone.items()
+            }
+
+    def test_models_must_share_their_structure(self):
+        same = pooled_spec("avg_pool", 2, None, DROPOUTS["mcd-channel"], 1)
+        deeper = pooled_spec("avg_pool", 2, None, DROPOUTS["mcd-channel"], 2)
+        with pytest.raises(ValueError, match="dropout config"):
+            train.train_models(
+                [train.TrainStep(same), train.TrainStep(deeper)], self.DATA, [self.CFG, self.CFG]
+            )
+        longer = train.TrainConfig(lr=0.3, epochs=4, batch=16, seed=1)
+        with pytest.raises(ValueError, match="lr, epochs and batch"):
+            train.train_models(
+                [train.TrainStep(same), train.TrainStep(same)], self.DATA, [self.CFG, longer]
+            )

@@ -110,6 +110,31 @@ def stream_key(seed: int, sample_index: int, layer_id: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def stream_keys(seeds: Sequence[int], passes: Sequence[int], layer_id: str) -> list[int]:
+    """stream_key(seeds[r], passes[r], layer_id) for every row r.
+
+    blake2b reads its input as a stream, so each distinct seed's "seed|"
+    prefix is hashed once and that state copied for every row, and each
+    distinct "pass|layer_id" suffix is encoded once.
+    """
+    if len(seeds) != len(passes):
+        raise ValueError(f"{len(seeds)} seeds for {len(passes)} passes")
+    heads: dict[Any, Any] = {}
+    tails: dict[Any, bytes] = {}
+    keys = []
+    for seed, sample_index in zip(seeds, passes):
+        head = heads.get(seed)
+        if head is None:
+            head = heads[seed] = hashlib.blake2b(f"{int(seed)}|".encode(), digest_size=16)
+        tail = tails.get(sample_index)
+        if tail is None:
+            tail = tails[sample_index] = f"{int(sample_index)}|{layer_id}".encode()
+        h = head.copy()
+        h.update(tail)
+        keys.append(int.from_bytes(h.digest(), "little"))
+    return keys
+
+
 class RngStream:
     """Counter-based uniform stream keyed by (seed, sample_index, layer_id).
 
@@ -150,7 +175,11 @@ def _rekeyer() -> Callable[[int], np.random.Generator]:
 
     One Philox generator per thread is re-keyed through the public state
     setter. That skips the OS-entropy SeedSequence every new Philox draws
-    (13-16 us each), and no generator state is shared across threads.
+    (13-16 us each), and no generator state is shared across threads. The
+    state is a fresh Philox's, held in plain lists, which the setter reads
+    faster than arrays: counter and buffer at zero, the buffer empty
+    (buffer_pos 4) and no uint32 half left over. Only the two key words
+    change between streams.
     """
     try:
         return _THREAD.rekey
@@ -158,8 +187,15 @@ def _rekeyer() -> Callable[[int], np.random.Generator]:
         pass
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # a copy: counter and buffer at zero
-    words = fresh["state"]["key"]
+    words = [0, 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0] * 4, "key": words},
+        "buffer": [0] * 4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
     def rekey(key: int) -> np.random.Generator:
         words[0], words[1] = key & _WORD, key >> 64

@@ -313,6 +313,18 @@ def build_point_spec(
     return netspec.insert_dropout(me, cfg, settings.depth)
 
 
+@dataclass(frozen=True)
+class TrainedPoint:
+    """What train_points hands to scoring for one design point: its built
+    spec, the train/test split, and its trained weights, None when the
+    point is to slice its weights or to train alone."""
+
+    me: netspec.MultiExitSpec
+    train_data: Dataset
+    test_data: Dataset
+    weights: runtime.WeightStore | None
+
+
 def evaluate_design_point(
     dp: DesignPoint,
     base_net: NetworkSpec,
@@ -321,17 +333,23 @@ def evaluate_design_point(
     hw: HardwareModel,
     settings: EvaluationSettings,
     seed: int,
-    weights: runtime.WeightStore | None = None,
+    trained: TrainedPoint | None = None,
 ) -> PointResult:
-    """Build, train, and score one design point end to end. Given the
-    weights train_points trained for it, the point is scored on those.
+    """Build, train, and score one design point end to end. Given what
+    train_points prepared for it, the point is scored on that spec, split
+    and those weights.
 
     Any construction or training failure is captured in the result's
     error field so a sweep keeps going.
     """
     try:
-        me = build_point_spec(dp, base_net, seed, settings)
-        train_data, test_data = train_test_split(data, settings.test_fraction, seed)
+        if trained is None:
+            me = build_point_spec(dp, base_net, seed, settings)
+            train_data, test_data = train_test_split(data, settings.test_fraction, seed)
+            weights = None
+        else:
+            me, train_data, test_data = trained.me, trained.train_data, trained.test_data
+            weights = trained.weights
 
         if weights is None and _slices(dp, settings):
             if settings.base_weights is None:
@@ -425,20 +443,23 @@ def train_points(
     data: Dataset,
     settings: EvaluationSettings,
     seed: int,
-) -> list[runtime.WeightStore | None]:
-    """Each point's trained weights, byte for byte what
-    evaluate_design_point trains alone. Points whose specs differ only in
-    their dropout config train together in one train_models call. A point
-    that slices its weights, or whose spec cannot be built or trained,
-    gets None: evaluate_design_point slices, trains or fails it alone."""
-    train_data, _ = train_test_split(data, settings.test_fraction, seed)
+) -> list[TrainedPoint | None]:
+    """Each point's spec, the data split, and its trained weights, byte for
+    byte what evaluate_design_point trains alone. Points whose specs differ
+    only in their dropout config train together in one train_models call.
+    A point that slices its weights, or that cannot train in a group, gets
+    weights None: evaluate_design_point slices, trains or fails it alone. A
+    point whose spec cannot be built gets None and fails when scored."""
+    train_data, test_data = train_test_split(data, settings.test_fraction, seed)
+    specs: dict[int, netspec.MultiExitSpec] = {}
     steps: dict[int, train.TrainStep] = {}
     groups: list[tuple[netspec.MultiExitSpec, list[int]]] = []
     for i, dp in enumerate(points):
-        if _slices(dp, settings):
-            continue
         try:
-            steps[i] = train.TrainStep(build_point_spec(dp, base_net, seed, settings))
+            specs[i] = build_point_spec(dp, base_net, seed, settings)
+            if _slices(dp, settings):
+                continue
+            steps[i] = train.TrainStep(specs[i])
         except Exception:  # the point reports it when it is scored
             continue
         shared = replace(steps[i].me, dropout=None)
@@ -447,16 +468,18 @@ def train_points(
             groups.append((shared, [i]))
         else:
             members.append(i)
-    out: list[runtime.WeightStore | None] = [None] * len(points)
+    weights: dict[int, runtime.WeightStore] = {}
     for _, members in groups:
         cfgs = [_train_config(points[i], settings, seed) for i in members]
         try:
             trained = train.train_models([steps[i] for i in members], train_data, cfgs)
         except Exception:  # each point trains alone when it is scored
             continue
-        for i, weights in zip(members, trained):
-            out[i] = weights
-    return out
+        weights.update(zip(members, trained))
+    return [
+        TrainedPoint(specs[i], train_data, test_data, weights.get(i)) if i in specs else None
+        for i in range(len(points))
+    ]
 
 
 def point_plan(
@@ -560,18 +583,18 @@ def explore(
     """Enumerate, train (train_points), score (optionally in a thread
     pool), filter, rank."""
     points = enumerate_design_points(grids)
-    trained = train_points(points, base_net, data, settings, seed)
+    prepared = train_points(points, base_net, data, settings, seed)
 
-    def run(dp: DesignPoint, weights: runtime.WeightStore | None) -> PointResult:
+    def run(dp: DesignPoint, trained: TrainedPoint | None) -> PointResult:
         return evaluate_design_point(
-            dp, base_net, data, noise_count, hw, settings, seed, weights=weights
+            dp, base_net, data, noise_count, hw, settings, seed, trained=trained
         )
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, points, trained))
+            results = list(pool.map(run, points, prepared))
     else:
-        results = [run(dp, weights) for dp, weights in zip(points, trained)]
+        results = [run(dp, trained) for dp, trained in zip(points, prepared)]
     ranked, best = filter_and_rank(results, constraints, priority)
     return ExplorationOutcome(results=tuple(results), ranked=tuple(ranked), best=best)
 

@@ -27,7 +27,7 @@ from .dropout import (
     generate_masks,
     masksembles_forward_batch,
     mcd_forward_batch,
-    stream_key,
+    stream_keys,
 )
 from .netspec import MultiExitSpec
 from .runtime import FlopCounter, QFormat, WeightStore
@@ -187,7 +187,7 @@ def _head(
         if cfg is None:
             raise ValueError("spec has dropout sites but no dropout config")
         if cfg.kind == "mcd":
-            keys = [stream_key(s, p, layer.id) for s, p in zip(seeds, passes)]
+            keys = stream_keys(seeds, passes, layer.id)
             x = mcd_forward_batch(x, cfg.keep_rate, cfg.granularity, keys, cfg.inverted)
         else:
             masks = generate_masks(x.shape[1], cfg.num_masks, cfg.scale)

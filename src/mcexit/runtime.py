@@ -160,10 +160,11 @@ def _pool(x: np.ndarray, layer: LayerSpec, out_shape: tuple[int, ...]) -> np.nda
     is_max = layer.kind == "max_pool"
     if x.ndim == 2:
         n = out_shape[0]
-        if stride == win[0]:
-            windows = x[:, : n * stride].reshape(len(x), n, stride)
-        else:
-            windows = x[:, np.arange(n)[:, None] * stride + np.arange(win[0])[None, :]]
+        if stride != win[0]:
+            # numpy sums a gathered window of 8 taps or more pairwise for one
+            # row but one tap after another for a batch: add tap slices instead
+            return _reduce_taps([x[:, t : t + stride * n : stride] for t in range(win[0])], is_max)
+        windows = x[:, : n * stride].reshape(len(x), n, stride)
         if is_max:
             return np.maximum.reduce(windows, axis=2)
         return np.add.reduce(windows, axis=2, dtype=x.dtype) / win[0]
@@ -186,13 +187,17 @@ def _pool(x: np.ndarray, layer: LayerSpec, out_shape: tuple[int, ...]) -> np.nda
         # one output element per sample: numpy adds its taps pairwise, which
         # a batch would turn into one after another, so stay per sample
         return _per_row(lambda a: stacked(a).mean(axis=0, dtype=a.dtype), x, out_shape)
-    # the tap views one after another, as numpy reduces stacked taps over
-    # axis 0: max starts from the first tap, a sum from its identity +0.0
     views = [
         x[..., i : i + stride * hout : stride, j : j + stride * wout : stride]
         for i in range(kh)
         for j in range(kw)
     ]
+    return _reduce_taps(views, is_max)
+
+
+def _reduce_taps(views: list[np.ndarray], is_max: bool) -> np.ndarray:
+    """The tap views one after another, as numpy reduces stacked taps over
+    axis 0: max starts from the first tap, a sum from its identity +0.0."""
     if is_max:
         out = views[0].copy()
         for view in views[1:]:

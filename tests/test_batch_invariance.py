@@ -54,8 +54,14 @@ def reference_forward(layer, x, weights=None, qformat=None):
         win = netspec._pool_window(layer, x.shape)
         if x.ndim == 1:
             n = (x.shape[0] - win[0]) // s + 1
-            windows = x[np.arange(n)[:, None] * s + np.arange(win[0])[None, :]]
-            reduce_axis = 1
+            if s == win[0]:
+                windows = x[np.arange(n)[:, None] * s + np.arange(win[0])[None, :]]
+                reduce_axis = 1
+            else:
+                # windows that overlap or leave gaps: the tap slices stacked,
+                # so their sum runs one tap after another in tap order
+                windows = np.stack([x[t : t + s * n : s] for t in range(win[0])])
+                reduce_axis = 0
         else:
             hout = (x.shape[1] - win[0]) // s + 1
             wout = (x.shape[2] - win[1]) // s + 1
@@ -116,6 +122,10 @@ LAYERS = [
     # windows that do not tile the input
     ({"id": "p", "kind": "max_pool", "params": {"window": 2}}, (13,)),
     ({"id": "p", "kind": "avg_pool", "params": {"window": 2}}, (13,)),
+    # overlapping windows of 8 taps or more, which numpy sums pairwise over
+    # one gathered row but one after another over a batch
+    ({"id": "p", "kind": "avg_pool", "params": {"window": 9, "stride": 4}}, (64,)),
+    ({"id": "p", "kind": "avg_pool", "params": {"window": 8, "stride": 3}}, (64,)),
     ({"id": "p", "kind": "max_pool", "params": {"window": 3, "stride": 2}}, (3, 8, 8)),
     ({"id": "p", "kind": "avg_pool", "params": {"window": 3, "stride": 2}}, (3, 8, 8)),
     ({"id": "p", "kind": "max_pool", "params": {"window": 2}}, (4, 8, 8)),

@@ -17,6 +17,7 @@ from mcexit.dropout import (
     masksembles_forward,
     mcd_forward,
     stream_key,
+    stream_keys,
     stream_uniforms,
 )
 
@@ -107,6 +108,41 @@ class TestKeyedGenerators:
             np.testing.assert_array_equal(keyed_generator(key).random(9), fresh[0].random(9))
             np.testing.assert_array_equal(
                 keyed_generator(key).permutation(11), fresh[1].permutation(11)
+            )
+
+    def test_stream_keys_equal_each_stream_key(self):
+        # negative and full 64-bit seeds, repeated out of order and mixed
+        # with numpy integers, against passes out of order
+        seeds = [-3, 2**64 - 1, 7, -3, np.int64(7), 2**63, -(2**63), 2**64 - 1, 0]
+        passes = [5, 0, 3, 1, 2, 0, 4, 9, np.int64(2)]
+        for site in ("exit1/drop0", "exit2/drop1", "sortie-é/drop0", "出口/drop0"):
+            want = [stream_key(seed, p, site) for seed, p in zip(seeds, passes)]
+            assert stream_keys(seeds, passes, site) == want
+        assert stream_keys([], [], "site") == []
+
+    def test_stream_keys_need_one_pass_per_seed(self):
+        with pytest.raises(ValueError, match="2 seeds for 1 passes"):
+            stream_keys([1, 2], [0], "site")
+
+    KEYS = (0, 1, 2**64, 2**128 - 1, stream_key(5, 2, "exit1/drop0"))
+
+    def test_rekey_after_a_stream_stopped_mid_block(self):
+        for key in self.KEYS:
+            previous = keyed_generator(key ^ 1)
+            previous.random(5)  # one word into Philox's second 4-word block
+            assert previous.bit_generator.state["buffer_pos"] == 1
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            np.testing.assert_array_equal(keyed_generator(key).random(9), fresh.random(9))
+
+    def test_rekey_after_an_odd_number_of_uint32_draws(self):
+        for key in self.KEYS:
+            previous = keyed_generator(key ^ 1)
+            previous.integers(0, 2**32, size=3, dtype=np.uint32)  # keeps a half word
+            assert previous.bit_generator.state["has_uint32"] == 1
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            np.testing.assert_array_equal(
+                keyed_generator(key).integers(0, 2**32, size=5, dtype=np.uint32),
+                fresh.integers(0, 2**32, size=5, dtype=np.uint32),
             )
 
     def test_each_thread_has_its_own_generator(self):

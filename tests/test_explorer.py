@@ -529,3 +529,34 @@ class TestGroupedTraining:
         assert any("zero width" in r.error for r in alone if not r.ok)
         assert any("num_masks 8" in r.error for r in alone if not r.ok)
         assert sum(r.ok for r in alone) == 12
+
+
+def test_explore_builds_each_point_spec_and_the_split_once(monkeypatch):
+    """train_points hands every point's spec and the data split to scoring."""
+    net = netspec.parse_network(mlp_doc())
+    data = datasets.make_blobs(count=40, classes=3, dim=16, seed=8)
+    grids = ExplorationGrids(
+        mcd_rates=(0.25,),
+        masksembles_scales=(2.0,),
+        n_exits=(1, 3),
+        n_passes=(2,),
+        channel_fractions=(1.0, 0.5),
+    )
+    calls = {explorer.build_point_spec: 0, explorer.train_test_split: 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_point_spec", "train_test_split"):
+        monkeypatch.setattr(explorer, name, counted(getattr(explorer, name)))
+    outcome = explorer.explore(
+        net, grids, Constraints(min_accuracy=0.0), Priority(metrics=("accuracy",)),
+        data, default_hardware_model(), EvaluationSettings(epochs=3, batch=16),
+        seed=7, noise_count=4,
+    )
+    assert all(r.ok for r in outcome.results)
+    assert list(calls.values()) == [len(explorer.enumerate_design_points(grids)), 1]

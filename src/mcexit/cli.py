@@ -132,11 +132,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     final = me.exits[-1]
     depth = netspec.attach_depth(me, final.attach_after)
     path = list(me.trunk.layers[: depth + 1]) + list(final.head_layers)
-    hits = 0
-    for x, y in zip(data.features, data.labels):
-        out = runtime.run_layers(path, x, weights)
-        hits += int(np.argmax(out) == y)
-    acc = hits / len(data)
+    out = data.features
+    for layer in path:
+        out = runtime.forward_batch(layer, out, weights)
+    acc = int(np.count_nonzero(np.argmax(out, axis=1) == data.labels)) / len(data)
     tensors = sum(len(named) for named in weights.values())
     print(f"wrote {args.out} ({tensors} tensor(s))")
     print(f"train accuracy (no sampling, final exit): {acc:.4f}")

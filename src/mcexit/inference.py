@@ -2,11 +2,12 @@
 
 The deterministic trunk runs once per input and its activations are
 cached at every exit attach point; each exit head then re-runs n_pass
-times from its cached feature with fresh dropout realizations. All
-inputs x passes of a head run as one batch through the batch-invariant
-runtime. Random draws come from counter-based streams keyed by (seed,
-pass, layer id), so results do not depend on evaluation order or on
-batching.
+times from its cached feature with fresh dropout realizations. Early
+exit advances the trunk exit by exit, so it runs only as deep as each
+input goes. All inputs x passes of a head run as one batch through the
+batch-invariant runtime. Random draws come from counter-based streams
+keyed by (seed, pass, layer id), so results do not depend on evaluation
+order or on batching.
 """
 
 from __future__ import annotations
@@ -130,23 +131,28 @@ BLOCK_INPUTS = 64
 
 def _trunk(
     me: MultiExitSpec,
-    inputs: np.ndarray,
+    cached: CachedFeatures,
+    depth: int,
+    stop: int,
     weights: WeightStore,
     qformat: QFormat | None,
     flop_counter: FlopCounter | None,
-) -> CachedFeatures:
-    """run_trunk on a batch of inputs: every cached activation keeps the
-    leading batch axis."""
+) -> int:
+    """Advance a batch through the trunk from position depth to position
+    stop (-1 is the network input), adding every attach-point activation
+    passed on the way to cached. cached holds the batch's activation at
+    depth, under that layer's id (None for the input), and every cached
+    activation keeps the leading batch axis. Returns the depth reached."""
+    if stop <= depth:
+        return depth
+    layers = me.trunk.layers
     wanted = {ex.attach_after for ex in me.exits}
-    cached: CachedFeatures = {}
-    x = np.asarray(inputs, dtype=np.float32)
-    if None in wanted:
-        cached[None] = x
-    for layer in me.trunk.layers[: netspec.deepest_attach(me) + 1]:
+    x = cached[layers[depth].id if depth >= 0 else None]
+    for layer in layers[depth + 1 : stop + 1]:
         x = runtime.forward_batch(layer, x, weights, qformat, flop_counter)
         if layer.id in wanted:
             cached[layer.id] = x
-    return cached
+    return stop
 
 
 def run_trunk(
@@ -161,8 +167,9 @@ def run_trunk(
     Executes only as deep as the deepest attach point and captures the
     activation at every exit attach point.
     """
-    cached = _trunk(me, np.asarray(x, dtype=np.float32)[None], weights, qformat, flop_counter)
-    return {key: value[0] for key, value in cached.items()}
+    cached: CachedFeatures = {None: np.asarray(x, dtype=np.float32)[None]}
+    _trunk(me, cached, -1, netspec.deepest_attach(me), weights, qformat, flop_counter)
+    return {ex.attach_after: cached[ex.attach_after][0] for ex in me.exits}
 
 
 def _head(
@@ -269,7 +276,8 @@ def _samples(
     """Every exit's n_pass samples for a batch of inputs:
     (inputs, n_exit, n_pass, class_count)."""
     _check_n_pass(me, n_pass)
-    cached = _trunk(me, inputs, weights, qformat, flop_counter)
+    cached: CachedFeatures = {None: np.asarray(inputs, dtype=np.float32)}
+    _trunk(me, cached, -1, netspec.deepest_attach(me), weights, qformat, flop_counter)
     per_exit = [
         _exit_samples(me, cached, k, n_pass, seeds, weights, qformat, flop_counter)
         for k in range(1, me.n_exit + 1)
@@ -326,39 +334,55 @@ def _confidence_exits(
     seeds: list[int],
     qformat: QFormat | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """confidence_exit for a batch of inputs: each exit head runs once on
-    the inputs that are still undecided. Returns the probabilities, the
-    exit taken and the confidence of every input."""
+    """confidence_exit for a batch of inputs. Before exit k's head, the
+    trunk advances to exit k's attach point on the inputs that are still
+    undecided, and the head runs once on them, so an input that exits at
+    k never runs a trunk layer past that point. Returns the probabilities,
+    the exit taken and the confidence of every input."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if mode not in EXIT_MODES:
         raise ValueError(f"mode must be one of {EXIT_MODES}")
     _check_n_pass(me, n_pass)
-    cached = _trunk(me, inputs, weights, qformat, None)
     n = len(inputs)
-    taken = np.zeros(n, dtype=np.int64)
-    confidence = np.empty(n)
-    live = np.arange(n)  # inputs no exit has answered yet
+    cached: CachedFeatures = {None: np.asarray(inputs, dtype=np.float32)}
+    depth = -1
+    live: np.ndarray | None = None  # rows still undecided, once some have decided
     history: np.ndarray | None = None  # their samples so far, for ensemble_so_far
-    for k in range(1, me.n_exit + 1):
-        samples = _exit_samples(
-            me, cached, k, n_pass, [seeds[i] for i in live], weights, qformat, None
-        )
+    for k, ex in enumerate(me.exits, 1):
+        stop = netspec.attach_depth(me, ex.attach_after)
+        depth = _trunk(me, cached, depth, stop, weights, qformat, None)
+        samples = _exit_samples(me, cached, k, n_pass, seeds, weights, qformat, None)
         if mode == "ensemble_so_far":
             history = samples if history is None else np.concatenate([history, samples], axis=1)
             samples = history
-        p = samples.mean(axis=1)
-        c = p.max(axis=1)
-        if k == 1:  # the class count is known once a head has run
+        # the ufuncs that samples.mean and p.max call, without their wrappers
+        p = np.add.reduce(samples, axis=1) / samples.shape[1]
+        c = np.maximum.reduce(p, axis=1)
+        done = c >= threshold
+        if k == me.n_exit:
+            done[:] = True  # the final exit always answers
+        n_done = np.count_nonzero(done)
+        if live is None and n_done == n:  # every input answers at this exit
+            return p, np.full(n, k, dtype=np.int64), c
+        if not n_done:
+            continue
+        if live is None:
+            live = np.arange(n)
             probs = np.empty((n, p.shape[1]))
-        done = (c >= threshold) | (k == me.n_exit)
-        probs[live[done]] = p[done]
-        taken[live[done]] = k
-        confidence[live[done]] = c[done]
-        live, keep = live[~done], ~done
-        if not len(live):
+            taken = np.zeros(n, dtype=np.int64)
+            confidence = np.empty(n)
+        rows = live[done]
+        probs[rows] = p[done]
+        taken[rows] = k
+        confidence[rows] = c[done]
+        if n_done == len(live):
             break
-        cached = {key: value[keep] for key, value in cached.items()}
+        keep = ~done
+        live = live[keep]
+        seeds = [s for s, kept in zip(seeds, keep) if kept]
+        # later exits read only the activation at depth, this exit's feature
+        cached = {ex.attach_after: cached[ex.attach_after][keep]}
         if history is not None:
             history = history[keep]
     return probs, taken, confidence
@@ -376,7 +400,8 @@ def confidence_exit(
 ) -> ExitDecision:
     """Evaluate exits shallow-to-deep and stop at the first whose averaged
     prediction reaches the confidence threshold; the final exit always
-    answers. Deeper heads are never executed once an exit fires.
+    answers. Deeper heads are never executed once an exit fires, and the
+    trunk runs only as far as the attach point of the exit that answers.
 
     mode "per_exit" scores each exit's own average; "ensemble_so_far"
     scores the running ensemble of all exits up to the current one.
@@ -456,7 +481,9 @@ def confidence_exit_dataset(
 ) -> EarlyExitScores:
     """confidence_exit on every input, input i sampled with
     dataset_seeds(seed, len(inputs))[i], and the early-exit FLOP
-    accounting of flops (metrics.count_flops of me) over the exits run."""
+    accounting of flops (metrics.count_flops of me) over the exits run.
+    That is the modelled cost: it charges the whole flop_main, even though
+    the trunk stops at the attach point of the exit that answers."""
     inputs = np.asarray(inputs, dtype=np.float32)
     seeds = dataset_seeds(seed, len(inputs))
     parts = [

@@ -211,8 +211,9 @@ def _reduce_taps(views: list[np.ndarray], is_max: bool) -> np.ndarray:
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, so a batch of logit rows maps row by row."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True, dtype=x.dtype)
+    # the ufuncs that x.max and e.sum call, without their method wrappers
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True, dtype=x.dtype)
 
 
 def _layer_params(

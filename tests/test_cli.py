@@ -260,6 +260,24 @@ class TestTrain:
         assert lines[1].startswith(prefix)
         assert 0.0 <= float(lines[1][len(prefix) :]) <= 1.0
 
+    def test_accuracy_runs_each_layer_once_over_the_dataset(self, ws, tmp_path, monkeypatch):
+        calls = []
+        original = runtime.forward_batch
+
+        def spy(layer, x, *args):
+            calls.append((layer.id, len(x)))
+            return original(layer, x, *args)
+
+        monkeypatch.setattr(runtime, "forward_batch", spy)
+        spec = ws / "multi_exit.json"
+        args = ["train", "--spec", str(spec), "--synth", "3,16,40", "--epochs", "2"]
+        assert cli.main([*args, "--out", str(tmp_path / "w.json")]) == 0
+        me = netspec.load_multi_exit(spec)
+        final = me.exits[-1]
+        depth = netspec.attach_depth(me, final.attach_after)
+        path = [*me.trunk.layers[: depth + 1], *final.head_layers]
+        assert calls == [(layer.id, 40) for layer in path]
+
     def test_requires_a_data_source(self, ws, capsys):
         rc = cli.main(
             [

@@ -64,6 +64,23 @@ def scoring_case(case, request):
     return me, weights, data.features[:4]
 
 
+def exit_probs(preds, k, mode):
+    """The probabilities exit k answers with under mode, from the full
+    samples of predict."""
+    if mode == "ensemble_so_far":
+        return inference.ensemble(preds, k)
+    return preds.samples[k - 1].mean(axis=0)
+
+
+def rule_exit(preds, threshold, mode):
+    """The exit confidence early exit must stop at: the first whose
+    probabilities reach the threshold, else the last."""
+    for k in range(1, preds.n_exit):
+        if exit_probs(preds, k, mode).max() >= threshold:
+            return k
+    return preds.n_exit
+
+
 def confidence_rig():
     """Two-exit net whose heads emit fixed probabilities for any input:
     exit 1 softmaxes to ~[0.7, 0.3] and the final exit to ~[0.9, 0.1]."""
@@ -261,6 +278,9 @@ class TestConfidenceExit:
         inference.confidence_exit(me, np.ones(4, dtype=np.float32), 0.6, "per_exit", weights, 2)
         assert "exit1/fc" in seen
         assert "fc" not in seen and "sm" not in seen
+        # the trunk stops at exit 1's attach point too
+        assert "d2" not in seen
+        assert "r2" not in seen
 
     def test_threshold_bounds(self):
         me, weights = confidence_rig()
@@ -324,27 +344,60 @@ class TestDatasetHelpers:
                 assert np.array_equal(rows[i], expected), (case, i)
 
     @pytest.mark.parametrize("mode", inference.EXIT_MODES)
-    @pytest.mark.parametrize("case", ["mcd", "masksembles_q8", "conv"])
+    @pytest.mark.parametrize(
+        "case", ["mcd", "masksembles", "mcd_q8", "masksembles_q8", "conv", "conv_q8"]
+    )
     def test_confidence_exit_dataset_matches_per_input_calls(self, case, mode, request, monkeypatch):
         monkeypatch.setattr(inference, "BLOCK_INPUTS", 3)
         me, weights, inputs = scoring_case(case, request)
         qformat = QFormat(8, 3) if case.endswith("_q8") else None
         flops = metrics.count_flops(me)
         seeds = inference.dataset_seeds(6, len(inputs))
+        preds = [inference.predict(me, x, 3, weights, s, qformat) for x, s in zip(inputs, seeds)]
         # the median exit-1 confidence, so some inputs stop there and some go on
-        first = [
-            inference.ensemble(inference.predict(me, x, 3, weights, s, qformat), 1).max()
-            for x, s in zip(inputs, seeds)
-        ]
-        threshold = min(float(np.median(first)), 0.999)
+        threshold = float(np.median([inference.ensemble(p, 1).max() for p in preds]))
         scores = inference.confidence_exit_dataset(
             me, weights, inputs, 3, 6, threshold, mode, flops, qformat
         )
         assert 1 in scores.exits_taken and scores.exits_taken.max() > 1
         spent = []
-        for i, x in enumerate(inputs):
+        for i, (x, p) in enumerate(zip(inputs, preds)):
             d = inference.confidence_exit(me, x, threshold, mode, weights, 3, seeds[i], qformat)
             assert np.array_equal(scores.probs[i], d.probs)
             assert scores.exits_taken[i] == d.exit_taken
+            # an oracle that shares no code with early exit: the answer of
+            # the exit that the threshold rule picks from predict's samples
+            assert d.exit_taken == rule_exit(p, threshold, mode)
+            assert np.array_equal(d.probs, exit_probs(p, d.exit_taken, mode))
             spent.append(flops.flop_main + 3 * sum(flops.per_exit[: d.exit_taken]))
         assert scores.avg_flops_per_input == sum(spent) / len(spent)
+
+    @pytest.mark.parametrize("mode", inference.EXIT_MODES)
+    def test_trunk_runs_only_on_the_inputs_that_go_on(self, mode, monkeypatch):
+        me = netspec.place_exits(netspec.parse_network(lenet_doc()))
+        me = netspec.insert_dropout(me, DropoutConfig(kind="mcd", keep_rate=0.5, seed=2), 1)
+        weights = runtime.init_weights(netspec.all_layers(me), 4)
+        inputs = np.random.Generator(np.random.Philox(key=9)).standard_normal((12, 1, 12, 12))
+        inputs = inputs.astype(np.float32)
+        seeds = inference.dataset_seeds(6, len(inputs))
+        preds = [inference.predict(me, x, 3, weights, s) for x, s in zip(inputs, seeds)]
+        threshold = float(np.median([exit_probs(p, 1, mode).max() for p in preds]))
+        rows: dict[str, int] = {}
+        original = runtime.forward_batch
+
+        def spy(layer, x, w, qformat=None, flop_counter=None):
+            rows[layer.id] = rows.get(layer.id, 0) + len(x)
+            return original(layer, x, w, qformat, flop_counter)
+
+        monkeypatch.setattr(runtime, "forward_batch", spy)
+        scores = inference.confidence_exit_dataset(
+            me, weights, inputs, 3, 6, threshold, mode, metrics.count_flops(me)
+        )
+        taken = scores.exits_taken
+        assert set(taken) == {1, 2, 3}
+        attach = [netspec.attach_depth(me, ex.attach_after) for ex in me.exits]
+        for depth, layer in enumerate(me.trunk.layers):
+            # a layer between exit k-1's attach point and exit k's runs on
+            # the inputs that no exit before k answered, once each
+            k = next(k for k, a in enumerate(attach, 1) if a >= depth)
+            assert rows[layer.id] == np.count_nonzero(taken >= k), layer.id

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .documents import field_names, fields, read_json
+from .documents import ParseError, field_names, fields, read_json
 from .dropout import derive_seed
 
 
@@ -122,8 +122,10 @@ def save_dataset(data: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    """A dataset file; it must hold at least one input, since the sample
+    shape is read from its features."""
     doc = fields(read_json(path), "dataset", field_names(Dataset), ("features", "labels"))
-    return Dataset(
-        features=np.asarray(doc["features"], dtype=np.float32),
-        labels=np.asarray(doc["labels"], dtype=np.int64),
-    )
+    features = np.asarray(doc["features"], dtype=np.float32)
+    if not features.size:
+        raise ParseError(f"dataset {path}: features holds no input values")
+    return Dataset(features=features, labels=np.asarray(doc["labels"], dtype=np.int64))

@@ -8,6 +8,15 @@ input goes. All inputs x passes of a head run as one batch through the
 batch-invariant runtime. Random draws come from counter-based streams
 keyed by (seed, pass, layer id), so results do not depend on evaluation
 order or on batching.
+
+On a fixed-point datapath each value is quantized once, where it leaves
+the grid: the executor tracks whether the current activation is on the
+grid. The network input is not; the output of every layer run with the
+qformat is, except softmax. A grid-preserving layer
+(runtime.GRID_PRESERVING_KINDS) keeps an on-grid input on the grid and
+runs unquantized, and so, on a saturating format, does masksembles
+masking. MC-dropout scaling leaves the grid and is requantized. Every
+skipped requantization would have mapped each value to its own bits.
 """
 
 from __future__ import annotations
@@ -129,6 +138,32 @@ def site_mask_sets(me: MultiExitSpec) -> dict[str, MaskSet]:
 BLOCK_INPUTS = 64
 
 
+def _grid_step(
+    kind: str, on_grid: bool, qformat: QFormat | None
+) -> tuple[QFormat | None, bool]:
+    """The qformat to run a layer of this kind with, given whether its
+    input is on the grid, and whether its output is."""
+    if qformat is None:
+        return None, False
+    if kind == "dropout_point":  # forward_batch runs it as an identity
+        return qformat, on_grid
+    if on_grid and kind in runtime.GRID_PRESERVING_KINDS:
+        return None, True
+    return qformat, kind != "softmax"
+
+
+def _on_grid(me: MultiExitSpec, attach_after: str | None, qformat: QFormat | None) -> bool:
+    """Whether the trunk leaves its activation after attach_after (None is
+    the network input) on the grid of qformat."""
+    on_grid = False
+    if attach_after is not None and qformat is not None:
+        for layer in me.trunk.layers:
+            _, on_grid = _grid_step(layer.kind, on_grid, qformat)
+            if layer.id == attach_after:
+                break
+    return on_grid
+
+
 def _trunk(
     me: MultiExitSpec,
     cached: CachedFeatures,
@@ -147,9 +182,12 @@ def _trunk(
         return depth
     layers = me.trunk.layers
     wanted = {ex.attach_after for ex in me.exits}
-    x = cached[layers[depth].id if depth >= 0 else None]
+    start = layers[depth].id if depth >= 0 else None
+    x = cached[start]
+    on_grid = _on_grid(me, start, qformat)
     for layer in layers[depth + 1 : stop + 1]:
-        x = runtime.forward_batch(layer, x, weights, qformat, flop_counter)
+        q, on_grid = _grid_step(layer.kind, on_grid, qformat)
+        x = runtime.forward_batch(layer, x, weights, q, flop_counter)
         if layer.id in wanted:
             cached[layer.id] = x
     return stop
@@ -176,31 +214,39 @@ def _head(
     me: MultiExitSpec,
     exit_index: int,
     features: np.ndarray,
+    on_grid: bool,
     seeds: list[int],
     passes: list[int],
     weights: WeightStore,
     qformat: QFormat | None,
     flop_counter: FlopCounter | None,
 ) -> np.ndarray:
-    """Run one exit head on a batch of cached features. Row r is pass
-    passes[r] of the input sampled with seeds[r]; returns one float64
-    probability vector per row."""
+    """Run one exit head on a batch of cached features, which are on the
+    grid of qformat if on_grid. Row r is pass passes[r] of the input
+    sampled with seeds[r]; returns one float64 probability vector per
+    row."""
     cfg = me.dropout
     x = features
     for layer in me.exits[exit_index - 1].head_layers:
         if layer.kind != "dropout_point":
-            x = runtime.forward_batch(layer, x, weights, qformat, flop_counter)
+            q, on_grid = _grid_step(layer.kind, on_grid, qformat)
+            x = runtime.forward_batch(layer, x, weights, q, flop_counter)
             continue
         if cfg is None:
             raise ValueError("spec has dropout sites but no dropout config")
         if cfg.kind == "mcd":
             keys = stream_keys(seeds, passes, layer.id)
             x = mcd_forward_batch(x, cfg.keep_rate, cfg.granularity, keys, cfg.inverted)
+            on_grid = False
         else:
             masks = generate_masks(x.shape[1], cfg.num_masks, cfg.scale)
             x = masksembles_forward_batch(x, passes, masks)
-        if qformat is not None:
+            # a 0/1 mask keeps grid values, but turns a negative one into
+            # -0.0, which wraparound requantizes to +0.0
+            on_grid = on_grid and qformat.saturating
+        if qformat is not None and not on_grid:
             x = runtime.quantize(x, qformat)
+            on_grid = True
     return np.asarray(x, dtype=np.float64)
 
 
@@ -224,15 +270,19 @@ def _exit_samples(
     weights: WeightStore,
     qformat: QFormat | None,
     flop_counter: FlopCounter | None,
+    from_trunk: bool = True,
 ) -> np.ndarray:
     """n_pass samples of one exit for every input of a batched cache, all
-    in one head batch: (inputs, n_pass, class_count)."""
-    feature = cached[me.exits[exit_index - 1].attach_after]
+    in one head batch: (inputs, n_pass, class_count). from_trunk says the
+    cache holds _trunk's activations on the datapath of qformat."""
+    attach_after = me.exits[exit_index - 1].attach_after
+    feature = cached[attach_after]
     n = len(feature)
     rows = _head(
         me,
         exit_index,
         np.repeat(feature, n_pass, axis=0),
+        from_trunk and _on_grid(me, attach_after, qformat),
         [s for s in seeds for _ in range(n_pass)],
         list(range(n_pass)) * n,
         weights,
@@ -261,7 +311,10 @@ def run_exit_samples(
     if ex.attach_after not in cached:
         raise KeyError(f"no cached feature for attach point {ex.attach_after!r}")
     one = {ex.attach_after: np.asarray(cached[ex.attach_after])[None]}
-    return _exit_samples(me, one, exit_index, n_pass, [seed], weights, qformat, flop_counter)[0]
+    # a caller's cache may come from another datapath, so requantize it
+    return _exit_samples(
+        me, one, exit_index, n_pass, [seed], weights, qformat, flop_counter, from_trunk=False
+    )[0]
 
 
 def _samples(

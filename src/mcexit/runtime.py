@@ -3,8 +3,10 @@
 Executes layer chains on float32 arrays, one sample or a batch of
 samples at a time, optionally passing weights and activations through a
 saturating fixed-point quantizer to mimic a narrow hardware datapath.
-Also owns weight initialization and the manifest-plus-blob weights file
-format.
+forward_batch quantizes whatever it runs with a qformat; it is the caller
+(the inference executor) that runs a layer of GRID_PRESERVING_KINDS
+without one when its input is already on the grid. Also owns weight
+initialization and the manifest-plus-blob weights file format.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .netspec import LayerSpec, ShapeMismatchError
 
 ALLOWED_TOTAL_BITS = (4, 6, 8, 16)
 QUANT_MODES = ("round_to_nearest_even", "truncate")
+# Layer kinds that select, compare with zero or reshape but do no
+# arithmetic: an input on a fixed-point grid leaves them on that grid, so
+# requantizing their output cannot change a bit.
+GRID_PRESERVING_KINDS = frozenset({"relu", "max_pool", "flatten"})
 
 WeightStore = dict[str, dict[str, np.ndarray]]
 
@@ -88,22 +94,28 @@ def quantize(x: np.ndarray | float, q: QFormat) -> np.ndarray | float:
     Round-to-nearest-even or truncation toward negative infinity, then
     saturation at the representable range (or two's-complement wraparound
     when saturating is off). Idempotent: grid values map to themselves.
+    Scales by 2**frac_bits and back by step, both exact powers of two, and
+    works in place on one new array, so x itself is never written to.
+    Float arrays keep their dtype; anything else is quantized as float64.
     """
-    arr = np.asarray(x, dtype=np.float64 if not isinstance(x, np.ndarray) else None)
+    floating = isinstance(x, np.ndarray) and x.dtype.kind == "f"
+    arr = np.asarray(x, dtype=None if floating else np.float64)
     scalar = arr.ndim == 0
-    step = arr.dtype.type(q.step)
-    codes = arr / step
+    codes = np.multiply(arr, arr.dtype.type(2.0**q.frac_bits), out=np.empty_like(arr))
     if q.mode == "round_to_nearest_even":
-        codes = np.rint(codes)
+        np.rint(codes, out=codes)
     else:
-        codes = np.floor(codes)
+        np.floor(codes, out=codes)
     lo, hi = -(2 ** (q.total_bits - 1)), 2 ** (q.total_bits - 1) - 1
     if q.saturating:
-        codes = np.clip(codes, lo, hi)
+        np.maximum(codes, lo, out=codes)
+        np.minimum(codes, hi, out=codes)
     else:
-        codes = np.mod(codes - lo, 2**q.total_bits) + lo
-    out = np.asarray(codes * step, dtype=arr.dtype)
-    return out.item() if scalar else out
+        codes -= lo
+        np.mod(codes, 2**q.total_bits, out=codes)
+        codes += lo
+    codes *= arr.dtype.type(q.step)
+    return codes.item() if scalar else codes
 
 
 class FlopCounter:

@@ -973,6 +973,11 @@ def _train(ws: Path, root: Path, text: str) -> list[str]:
     return argv + ["--dataset", _write(root, "d.json", text), "--out", str(root / "w.json")]
 
 
+def _evaluate(ws: Path, root: Path, text: str) -> list[str]:
+    argv = ["evaluate", "--spec", str(ws / "multi_exit.json"), "--weights", str(ws / "weights.json")]
+    return argv + ["--dataset", _write(root, "d.json", text), "--out", str(root / "r.json")]
+
+
 BLOBS = {"count": 60, "classes": 3, "dim": 16, "seed": 5}
 
 # (argv from the trained workspace and a scratch dir, what the message must name)
@@ -1011,6 +1016,16 @@ MALFORMED = [
     ),
     pytest.param(
         lambda ws, t: _train(ws, t, "[[1.0]]"), ["dataset", "JSON object"], id="dataset-is-a-list"
+    ),
+    pytest.param(
+        lambda ws, t: _train(ws, t, '{"features": [], "labels": []}'),
+        ["dataset", "d.json", "features holds no input values"],
+        id="train-dataset-is-empty",
+    ),
+    pytest.param(
+        lambda ws, t: _evaluate(ws, t, '{"features": [], "labels": []}'),
+        ["dataset", "d.json", "features holds no input values"],
+        id="evaluate-dataset-is-empty",
     ),
     pytest.param(
         lambda ws, t: _explore(t, "priority"), ["config", "priority"], id="config-lacks-priority"

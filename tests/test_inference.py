@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_masksembles_spec, build_mcd_spec, lenet_doc
+from conftest import build_masksembles_spec, build_mcd_spec, lenet_doc, mlp_doc, rng
 from mcexit import inference, metrics, netspec, runtime
 from mcexit.dropout import (
     DropoutConfig,
@@ -27,8 +27,14 @@ def uncached_sample(me, x, weights, exit_index, pass_index, seed, qformat=None):
     h = np.asarray(x, dtype=np.float32)
     for layer in me.trunk.layers[: depth + 1]:
         h = runtime.forward(layer, h, weights, qformat)
+    return uncached_head(me, h, weights, exit_index, pass_index, seed, qformat)
+
+
+def uncached_head(me, h, weights, exit_index, pass_index, seed, qformat=None):
+    """One pass of one exit head from feature h, requantizing after every
+    layer and dropout site."""
     cfg = me.dropout
-    for layer in ex.head_layers:
+    for layer in me.exits[exit_index - 1].head_layers:
         if layer.kind == "dropout_point":
             if cfg.kind == "mcd":
                 stream = RngStream(seed, pass_index, layer.id)
@@ -164,6 +170,124 @@ class TestCachedAgainstUncached:
                 assert np.array_equal(preds.samples[k - 1, p], ref.astype(np.float64))
 
 
+def first_layer_doc(first):
+    """The README MLP behind a first layer that does no arithmetic: relu,
+    max_pool or flatten. It meets the raw input, which is off the grid,
+    so it must still quantize."""
+    layer = {"id": "in", "kind": first}
+    shape = {"relu": [16], "max_pool": [32], "flatten": [1, 4, 4]}[first]
+    if first == "max_pool":
+        layer["params"] = {"window": 2}
+    return {"input_shape": shape, "layers": [layer, *mlp_doc()["layers"]]}
+
+
+def grid_case(net, kind):
+    """(spec, weights, inputs) of a net with dropout of the given kind:
+    one of first_layer_doc's; the README MLP with a softmax between d1 and
+    r1, whose float output r1 must quantize; or the conv net, whose relu,
+    max_pool and flatten layers follow conv layers."""
+    if net == "lenet":
+        doc = lenet_doc()
+    elif net == "softmax":
+        doc = mlp_doc()
+        doc["layers"].insert(1, {"id": "mid", "kind": "softmax"})
+    else:
+        doc = first_layer_doc(net)
+    me = netspec.place_exits(netspec.parse_network(doc))
+    if kind == "mcd":
+        cfg = DropoutConfig(kind="mcd", keep_rate=0.75, seed=3)
+    else:
+        cfg = DropoutConfig(kind="masksembles", num_masks=4, scale=2.0, seed=3)
+    me = netspec.insert_dropout(me, cfg, 1)
+    weights = runtime.init_weights(netspec.all_layers(me), 5)
+    inputs = 2 * rng(8).standard_normal((3, *me.trunk.input_shape))
+    return me, weights, inputs.astype(np.float32)
+
+
+def uncached_predictions(me, x, weights, n_pass, seed, qformat):
+    """predict's samples, each from uncached_sample, which reruns the
+    whole network and requantizes after every layer."""
+    samples = [
+        [uncached_sample(me, x, weights, k, p, seed, qformat) for p in range(n_pass)]
+        for k in range(1, me.n_exit + 1)
+    ]
+    return PredictionSet(
+        samples=np.array(samples, dtype=np.float64),
+        n_exit=me.n_exit,
+        n_pass=n_pass,
+        class_count=me.class_count,
+    )
+
+
+GRID_FORMATS = [
+    QFormat(8, 3),
+    QFormat(8, 3, mode="truncate"),
+    QFormat(8, 3, saturating=False),
+    QFormat(6, 2, mode="truncate", saturating=False),
+]
+
+
+class TestGridSkip:
+    """The executor skips a requantization only where it cannot change a
+    bit: every quantized output must equal the oracle that requantizes
+    after every layer."""
+
+    @pytest.mark.parametrize("q", GRID_FORMATS, ids=["rne", "truncate", "wrap", "truncate_wrap"])
+    @pytest.mark.parametrize("kind", ["mcd", "masksembles"])
+    @pytest.mark.parametrize("net", ["relu", "max_pool", "flatten", "softmax", "lenet"])
+    def test_matches_requantizing_every_layer(self, net, kind, q):
+        me, weights, inputs = grid_case(net, kind)
+        seeds = inference.dataset_seeds(6, len(inputs))
+        refs = [uncached_predictions(me, x, weights, 3, s, q) for x, s in zip(inputs, seeds)]
+        for x, s, ref in zip(inputs, seeds, refs):
+            preds = inference.predict(me, x, 3, weights, s, q)
+            assert np.array_equal(preds.samples, ref.samples)
+        rows = inference.ensemble_dataset(me, weights, inputs, 3, 6, q)
+        assert np.array_equal(rows, [inference.ensemble(ref) for ref in refs])
+        flops = metrics.count_flops(me)
+        for mode in inference.EXIT_MODES:
+            # the median exit-1 confidence, so some inputs go on to resume the trunk
+            threshold = float(np.median([exit_probs(r, 1, mode).max() for r in refs]))
+            scores = inference.confidence_exit_dataset(
+                me, weights, inputs, 3, 6, threshold, mode, flops, q
+            )
+            for i, ref in enumerate(refs):
+                k = rule_exit(ref, threshold, mode)
+                assert scores.exits_taken[i] == k, (mode, i)
+                assert np.array_equal(scores.probs[i], exit_probs(ref, k, mode)), (mode, i)
+
+    @pytest.mark.parametrize("first", ["relu", "max_pool", "flatten"])
+    def test_a_first_layer_on_the_raw_input_quantizes(self, first, monkeypatch):
+        me, weights, inputs = grid_case(first, "mcd")
+        quantized: dict[str, bool] = {}
+        original = runtime.forward_batch
+
+        def spy(layer, x, w, qformat=None, flop_counter=None):
+            quantized[layer.id] = qformat is not None
+            return original(layer, x, w, qformat, flop_counter)
+
+        monkeypatch.setattr(runtime, "forward_batch", spy)
+        inference.predict(me, inputs[0], 2, weights, 1, QFormat(8, 3))
+        assert quantized["in"]
+        # relus after a dense layer keep its grid; pooling by averages leaves it
+        assert not quantized["r1"] and not quantized["r2"] and not quantized["r3"]
+        assert quantized["p1"] and quantized["p2"]
+
+    def test_quantize_calls_on_the_readme_mlp(self, mcd_spec, mcd_weights, blob_data, monkeypatch):
+        calls = []
+        original = runtime.quantize
+
+        def spy(x, q):
+            calls.append(q)
+            return original(x, q)
+
+        monkeypatch.setattr(runtime, "quantize", spy)
+        inference.predict(mcd_spec, blob_data.features[0], 3, mcd_weights, 1, QFormat(8, 3))
+        # weights and biases of 6 dense layers, their 6 outputs, 2 average
+        # pools and 3 MC-dropout sites; the 3 trunk relus quantize nothing
+        assert len(calls) == 23
+
+
 class TestRunTrunk:
     def test_caches_exactly_the_attach_points(self, mcd_spec, mcd_weights):
         cached = inference.run_trunk(mcd_spec, np.zeros(16, dtype=np.float32), mcd_weights)
@@ -207,6 +331,18 @@ class TestRunExitSamples:
     def test_missing_cached_feature(self, mcd_spec, mcd_weights):
         with pytest.raises(KeyError):
             inference.run_exit_samples({}, mcd_spec, 1, 2, mcd_weights, 1)
+
+    @pytest.mark.parametrize("kind", ["mcd", "masksembles"])
+    def test_a_float_cache_is_requantized(self, kind, request, blob_data):
+        me = request.getfixturevalue(f"{kind}_spec")
+        weights = request.getfixturevalue(f"{kind}_weights")
+        q = QFormat(8, 3)
+        cached = inference.run_trunk(me, blob_data.features[5], weights)  # float trunk
+        for k, ex in enumerate(me.exits, 1):
+            rows = inference.run_exit_samples(cached, me, k, 3, weights, 2, q)
+            for p in range(3):
+                ref = uncached_head(me, cached[ex.attach_after], weights, k, p, 2, q)
+                assert np.array_equal(rows[p], ref.astype(np.float64)), (k, p)
 
     def test_same_seed_same_rows(self, mcd_spec, mcd_weights, blob_data):
         cached = inference.run_trunk(mcd_spec, blob_data.features[2], mcd_weights)

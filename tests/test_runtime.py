@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mcexit import netspec, runtime
 from mcexit.runtime import FlopCounter, QFormat, quantize
@@ -11,6 +12,59 @@ from mcexit.runtime import FlopCounter, QFormat, quantize
 
 def layer(doc):
     return netspec.parse_layer(doc)
+
+
+def reference_quantize(x, q):
+    """A frozen copy of the quantizer as it was before it worked in place:
+    divide by the step, round, np.clip (or wrap) and multiply back, each
+    step making a new array."""
+    arr = np.asarray(x, dtype=np.float64 if not isinstance(x, np.ndarray) else None)
+    scalar = arr.ndim == 0
+    step = arr.dtype.type(q.step)
+    codes = arr / step
+    if q.mode == "round_to_nearest_even":
+        codes = np.rint(codes)
+    else:
+        codes = np.floor(codes)
+    lo, hi = -(2 ** (q.total_bits - 1)), 2 ** (q.total_bits - 1) - 1
+    if q.saturating:
+        codes = np.clip(codes, lo, hi)
+    else:
+        codes = np.mod(codes - lo, 2**q.total_bits) + lo
+    out = np.asarray(codes * step, dtype=arr.dtype)
+    return out.item() if scalar else out
+
+
+@st.composite
+def qformats(draw):
+    bits = draw(st.sampled_from(runtime.ALLOWED_TOTAL_BITS))
+    return QFormat(
+        bits,
+        draw(st.integers(1, bits)),
+        mode=draw(st.sampled_from(runtime.QUANT_MODES)),
+        saturating=draw(st.booleans()),
+    )
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-45, -1e-45, 1e-40, -1e-40, 1e-310,
+                  np.inf, -np.inf, np.nan, 1e30, -1e30, 3e38, -3e38, 1e300, -1e300]
+
+
+@st.composite
+def quantizer_inputs(draw):
+    """float32 or float64 arrays of any rank up to 3, 0-d included, whose
+    values mix signed zeros, subnormals, infinities, NaN and magnitudes far
+    outside every format's range with ordinary floats."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype is np.float32 else 64
+    values = st.one_of(
+        st.sampled_from(SPECIAL_VALUES),
+        st.floats(width=width),
+        st.floats(-300, 300, width=width),
+    )
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=5))
+    with np.errstate(over="ignore"):  # 1e300 and 3e38 overflow float32 to inf
+        return draw(hnp.arrays(dtype, shape, elements=values.map(dtype)))
 
 
 class TestQuantize:
@@ -68,6 +122,36 @@ class TestQuantize:
     def test_rne_error_bound_inside_range(self, v):
         q = QFormat(8, 3)  # representable range covers [-4, 3.96875]
         assert abs(quantize(v, q) - v) <= q.step / 2
+
+    @given(quantizer_inputs(), qformats())
+    @settings(max_examples=200, deadline=None)
+    def test_bits_equal_the_frozen_reference(self, x, q):
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            out = quantize(x, q)
+            ref = reference_quantize(x, q)
+        assert x.tobytes() == before.tobytes()  # the input is never written to
+        if x.ndim == 0:  # a 0-d array comes back as a Python float
+            assert type(out) is type(ref) is float
+            out, ref = np.float64(out), np.float64(ref)
+        else:
+            assert out.dtype == ref.dtype == x.dtype and out.shape == ref.shape
+        uint = np.uint32 if out.dtype == np.float32 else np.uint64
+        assert np.array_equal(out.view(uint), ref.view(uint))
+
+    @given(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()), qformats())
+    @settings(max_examples=200, deadline=None)
+    def test_python_scalars_equal_the_frozen_reference(self, v, q):
+        with np.errstate(all="ignore"):
+            out, ref = quantize(v, q), reference_quantize(v, q)
+        assert type(out) is float
+        assert np.float64(out).view(np.uint64) == np.float64(ref).view(np.uint64)
+
+    def test_integer_arrays_quantize_as_float64(self):
+        q = QFormat(8, 3)
+        out = quantize(np.array([1, -2, 9]), q)
+        assert out.dtype == np.float64
+        assert out.tolist() == [1.0, -2.0, q.max_value]
 
     def test_invalid_formats(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,10 @@
 
 Verbs: transform (insert exits + dropout into a network description),
 train (fit toy weights), evaluate (accuracy / calibration / entropy /
-cost for one configuration), explore (sweep the joint design space),
-map (sample-to-engine mapping and Pareto frontier), emit (accelerator
-plan JSON + text report).
+cost for one configuration, scored by metrics.score as each explore
+point is), explore (sweep the joint design space), map
+(sample-to-engine mapping and Pareto frontier), emit (accelerator plan
+JSON + text report).
 
 Exit codes: 0 success, 2 bad usage or unreadable input, 3 feasible set
 empty (constraints or budget unsatisfiable), 1 internal error. All file
@@ -163,33 +164,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     report["flops_fraction"] = report["cost_multi_exit"] / report["cost_single_exit"]
 
-    if args.threshold is None:
-        probs = inference.ensemble_dataset(
-            me, weights, data.features, args.n_pass, args.seed, qformat
-        )
-    else:
-        scores = inference.confidence_exit_dataset(
-            me,
-            weights,
-            data.features,
-            args.n_pass,
-            args.seed,
-            args.threshold,
-            args.exit_mode,
-            flops,
-            qformat,
-        )
-        probs = scores.probs
+    noise = noise_like(data, args.noise_count, derive_seed(args.seed, "noise"))
+    scores = metrics.score(
+        me, weights, data, args.n_pass, args.seed, noise, flops, qformat,
+        args.threshold, args.exit_mode, args.n_bins,
+    )
+    if scores.early_exit is not None:
         report["threshold"] = args.threshold
         report["exit_mode"] = args.exit_mode
-        report["mean_exit_taken"] = float(np.mean(scores.exits_taken))
-        report["avg_flops_per_input"] = scores.avg_flops_per_input
-
-    report["accuracy"] = metrics.accuracy(probs, data.labels)
-    report["ece"] = metrics.expected_calibration_error(probs, data.labels, args.n_bins)
-
-    noise = noise_like(data, args.noise_count, derive_seed(args.seed, "noise"))
-    report["ape"] = metrics.average_predictive_entropy(me, weights, noise, args.n_pass, qformat)
+        report["mean_exit_taken"] = float(np.mean(scores.early_exit.exits_taken))
+        report["avg_flops_per_input"] = scores.early_exit.avg_flops_per_input
+    report.update(accuracy=scores.accuracy, ece=scores.ece, ape=scores.ape)
 
     write_json(args.out, report)
     if args.csv:

@@ -4,10 +4,12 @@ Enumerates the full Cartesian grid of design knobs (dropout kind and
 strength, exit count, passes per exit, datapath bitwidth, channel
 fraction, engine count, optional confidence threshold), evaluates every
 point end to end on a toy dataset, then filters by constraints and
-ranks lexicographically with tie tolerances. Points whose networks differ
-only in their dropout config train together in one stacked pass, each to
-the weights it would get alone. Failures are recorded per point, never
-aborting a sweep.
+ranks lexicographically with tie tolerances. train_points is the one
+place that builds, slices or trains each point's network; points whose
+networks differ only in their dropout config train together in one
+stacked pass, each to the weights it would get alone. Each point is
+then scored through metrics.score, as `mcexit evaluate` is. Failures
+are recorded per point, never aborting a sweep.
 """
 
 from __future__ import annotations
@@ -126,29 +128,20 @@ def enumerate_design_points(grids: ExplorationGrids) -> list[DesignPoint]:
     dropout = [("mcd", r) for r in grids.mcd_rates] + [
         ("masksembles", s) for s in grids.masksembles_scales
     ]
-    axes = (
-        dropout,
-        grids.n_exits,
-        grids.n_passes,
-        grids.bitwidths,
-        grids.channel_fractions,
-        grids.engines,
-        grids.thresholds,
-    )
-    names = (
-        "mcd_rates/masksembles_scales",
-        "n_exits",
-        "n_passes",
-        "bitwidths",
-        "channel_fractions",
-        "engines",
-        "thresholds",
-    )
-    for name, axis in zip(names, axes):
+    axes = {
+        "mcd_rates/masksembles_scales": dropout,
+        "n_exits": grids.n_exits,
+        "n_passes": grids.n_passes,
+        "bitwidths": grids.bitwidths,
+        "channel_fractions": grids.channel_fractions,
+        "engines": grids.engines,
+        "thresholds": grids.thresholds,
+    }
+    for name, axis in axes.items():
         if not axis:
             raise ValueError(f"grid {name} is empty")
     points = []
-    for (kind, param), n_exit, n_pass, bits, cf, engines, thr in itertools.product(*axes):
+    for (kind, param), n_exit, n_pass, bits, cf, engines, thr in itertools.product(*axes.values()):
         points.append(
             DesignPoint(
                 dropout_kind=kind,
@@ -315,14 +308,15 @@ def build_point_spec(
 
 @dataclass(frozen=True)
 class TrainedPoint:
-    """What train_points hands to scoring for one design point: its built
-    spec, the train/test split, and its trained weights, None when the
-    point is to slice its weights or to train alone."""
+    """What train_points hands to scoring for one design point: the
+    train/test split, and the point's built spec and weights, or the
+    error that stopped it first."""
 
-    me: netspec.MultiExitSpec
     train_data: Dataset
     test_data: Dataset
-    weights: runtime.WeightStore | None
+    me: netspec.MultiExitSpec | None = None
+    weights: runtime.WeightStore | None = None
+    error: str | None = None
 
 
 def evaluate_design_point(
@@ -335,97 +329,51 @@ def evaluate_design_point(
     seed: int,
     trained: TrainedPoint | None = None,
 ) -> PointResult:
-    """Build, train, and score one design point end to end. Given what
-    train_points prepared for it, the point is scored on that spec, split
-    and those weights.
+    """Score one design point end to end on the spec, split and weights
+    train_points gives it; without trained, that is train_points of this
+    point alone.
 
-    Any construction or training failure is captured in the result's
-    error field so a sweep keeps going.
+    Any construction, training or scoring failure is captured in the
+    result's error field so a sweep keeps going.
     """
     try:
         if trained is None:
-            me = build_point_spec(dp, base_net, seed, settings)
-            train_data, test_data = train_test_split(data, settings.test_fraction, seed)
-            weights = None
-        else:
-            me, train_data, test_data = trained.me, trained.train_data, trained.test_data
-            weights = trained.weights
-
-        if weights is None and _slices(dp, settings):
-            if settings.base_weights is None:
-                raise ValueError("channel_mode 'slice' needs base_weights for the full network")
-            full = build_point_spec(
-                replace(dp, channel_fraction=1.0), base_net, seed, settings
-            )
-            weights = runtime.slice_weights(
-                settings.base_weights, netspec.all_layers(full), netspec.all_layers(me)
-            )
-        elif weights is None:
-            weights = train.train_toy(me, train_data, _train_config(dp, settings, seed))
-
+            trained = train_points([dp], base_net, data, settings, seed)[0]
+        if trained.error is not None:
+            return PointResult(point=dp, error=trained.error)
+        me = trained.me
         qformat = runtime.datapath_format(dp.bitwidth, settings.integer_bits)
-        eval_seed = derive_seed(seed, "eval", dp.key())
         flop_report = metrics.count_flops(me)
-        baseline_shapes = [base_net.input_shape] + netspec.infer_shapes(
-            base_net.layers, base_net.input_shape
-        )
-        baseline = sum(
-            netspec.flops_of(layer, baseline_shapes[i])
-            for i, layer in enumerate(base_net.layers)
-        )
+        baseline = metrics.chain_flops(base_net.layers, base_net.input_shape)
         flops_fraction = metrics.cost_multi_exit(flop_report, dp.n_sample, dp.n_exit) / baseline
 
-        early_fraction = None
-        if dp.threshold is None:
-            probs = inference.ensemble_dataset(
-                me, weights, test_data.features, dp.n_pass, eval_seed, qformat
-            )
-        else:
-            scores = inference.confidence_exit_dataset(
-                me,
-                weights,
-                test_data.features,
-                dp.n_pass,
-                eval_seed,
-                dp.threshold,
-                settings.exit_mode,
-                flop_report,
-                qformat,
-            )
-            probs = scores.probs
-            early_fraction = scores.avg_flops_per_input / baseline
-
-        acc = metrics.accuracy(probs, test_data.labels)
-        ece = metrics.expected_calibration_error(probs, test_data.labels, settings.n_bins)
-        noise = noise_like(train_data, noise_count, derive_seed(seed, "noise", dp.key()))
-        ape = metrics.average_predictive_entropy(me, weights, noise, dp.n_pass, qformat)
+        noise = noise_like(trained.train_data, noise_count, derive_seed(seed, "noise", dp.key()))
+        scores = metrics.score(
+            me, trained.weights, trained.test_data, dp.n_pass, derive_seed(seed, "eval", dp.key()),
+            noise, flop_report, qformat, dp.threshold, settings.exit_mode, settings.n_bins,
+        )
+        early = scores.early_exit
+        early_fraction = None if early is None else early.avg_flops_per_input / baseline
 
         plan = mapping.build_mapping(dp.n_sample, dp.mapping_engines)
         latency = mapping.estimate_latency(plan, flop_report, hw)
         res = mapping.estimate_resources(plan, me, hw)
 
         report = MetricsReport(
-            accuracy=acc,
-            ece=ece,
-            ape=ape,
+            accuracy=scores.accuracy,
+            ece=scores.ece,
+            ape=scores.ape,
             flops_fraction=flops_fraction,
             n_sample=dp.n_sample,
             flops_fraction_early_exit=early_fraction,
         )
-        return PointResult(
-            point=dp,
-            report=report,
-            latency=latency,
-            resources=res.usage,
-            fits=res.fits,
-        )
+        return PointResult(dp, report, latency, resources=res.usage, fits=res.fits)
     except Exception as err:  # recorded, never aborts the sweep
-        return PointResult(point=dp, error=f"{type(err).__name__}: {err}")
+        return PointResult(point=dp, error=_failure(err))
 
 
-def _slices(dp: DesignPoint, settings: EvaluationSettings) -> bool:
-    """Whether the point takes its weights from the full network's."""
-    return settings.channel_mode == "slice" and dp.channel_fraction != 1.0
+def _failure(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
 
 
 def _train_config(dp: DesignPoint, settings: EvaluationSettings, seed: int) -> train.TrainConfig:
@@ -443,41 +391,63 @@ def train_points(
     data: Dataset,
     settings: EvaluationSettings,
     seed: int,
-) -> list[TrainedPoint | None]:
-    """Each point's spec, the data split, and its trained weights, byte for
-    byte what evaluate_design_point trains alone. Points whose specs differ
-    only in their dropout config train together in one train_models call.
-    A point that slices its weights, or that cannot train in a group, gets
-    weights None: evaluate_design_point slices, trains or fails it alone. A
-    point whose spec cannot be built gets None and fails when scored."""
+) -> list[TrainedPoint]:
+    """The data split, and each point's spec and weights: the one place
+    that builds, slices and trains.
+
+    In channel_mode 'slice' a narrowed point slices the full network's
+    settings.base_weights. Every other point trains, and points whose specs
+    differ only in their dropout config train together in one
+    train_models call, each to the weight bytes train_toy gives it alone.
+    A point that cannot be built, sliced or trained carries its error.
+    """
     train_data, test_data = train_test_split(data, settings.test_fraction, seed)
     specs: dict[int, netspec.MultiExitSpec] = {}
+    weights: dict[int, runtime.WeightStore] = {}
+    errors: dict[int, str] = {}
     steps: dict[int, train.TrainStep] = {}
     groups: list[tuple[netspec.MultiExitSpec, list[int]]] = []
     for i, dp in enumerate(points):
         try:
             specs[i] = build_point_spec(dp, base_net, seed, settings)
-            if _slices(dp, settings):
+            if settings.channel_mode == "slice" and dp.channel_fraction != 1.0:
+                if settings.base_weights is None:
+                    raise ValueError("channel_mode 'slice' needs base_weights for the full network")
+                full = build_point_spec(replace(dp, channel_fraction=1.0), base_net, seed, settings)
+                weights[i] = runtime.slice_weights(
+                    settings.base_weights, netspec.all_layers(full), netspec.all_layers(specs[i])
+                )
                 continue
             steps[i] = train.TrainStep(specs[i])
-        except Exception:  # the point reports it when it is scored
+        except Exception as err:  # recorded, never aborts the sweep
+            errors[i] = _failure(err)
             continue
-        shared = replace(steps[i].me, dropout=None)
+        shared = replace(specs[i], dropout=None)
         members = next((m for key, m in groups if key == shared), None)
         if members is None:
             groups.append((shared, [i]))
         else:
             members.append(i)
-    weights: dict[int, runtime.WeightStore] = {}
-    for _, members in groups:
+
+    def fit(members: list[int]) -> None:
         cfgs = [_train_config(points[i], settings, seed) for i in members]
         try:
-            trained = train.train_models([steps[i] for i in members], train_data, cfgs)
-        except Exception:  # each point trains alone when it is scored
-            continue
-        weights.update(zip(members, trained))
+            weights.update(
+                zip(members, train.train_models([steps[i] for i in members], train_data, cfgs))
+            )
+        except Exception as err:  # recorded, never aborts the sweep
+            if len(members) == 1:
+                errors[members[0]] = _failure(err)
+                return
+            # a group's error can name another member's data (the first
+            # bad label its shuffle meets): each member trains again alone
+            for i in members:
+                fit([i])
+
+    for _, members in groups:
+        fit(members)
     return [
-        TrainedPoint(specs[i], train_data, test_data, weights.get(i)) if i in specs else None
+        TrainedPoint(train_data, test_data, specs.get(i), weights.get(i), errors.get(i))
         for i in range(len(points))
     ]
 
@@ -585,7 +555,7 @@ def explore(
     points = enumerate_design_points(grids)
     prepared = train_points(points, base_net, data, settings, seed)
 
-    def run(dp: DesignPoint, trained: TrainedPoint | None) -> PointResult:
+    def run(dp: DesignPoint, trained: TrainedPoint) -> PointResult:
         return evaluate_design_point(
             dp, base_net, data, noise_count, hw, settings, seed, trained=trained
         )

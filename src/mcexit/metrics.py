@@ -3,7 +3,8 @@
 Covers the FLOP accounting that separates the one-shot trunk from the
 per-sample exit work, the closed-form cost and reduction-rate formulas
 built on that split, calibration error, and predictive-entropy scores on
-Gaussian noise inputs.
+Gaussian noise inputs. score is the one evaluation pipeline: the CLI's
+evaluate and the explorer both predict and score through it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import inference, netspec
-from .datasets import NoiseSpec, gaussian_inputs
+from .datasets import Dataset, NoiseSpec, gaussian_inputs
 from .dropout import derive_seed
-from .netspec import MultiExitSpec
+from .netspec import LayerSpec, MultiExitSpec
 from .runtime import QFormat, WeightStore
 
 
@@ -42,6 +43,15 @@ class FlopReport:
         return self.flop_exit_total / self.flop_main
 
 
+def chain_flops(layers: Sequence[LayerSpec], in_shape: tuple[int, ...]) -> int:
+    """FLOPs of running layers one after another on an input of in_shape."""
+    total = 0
+    for layer in layers:
+        total += netspec.flops_of(layer, in_shape)
+        in_shape = netspec.output_shape(layer, in_shape)
+    return total
+
+
 def count_flops(me: MultiExitSpec) -> FlopReport:
     """Static FLOP split of a multi-exit spec.
 
@@ -50,22 +60,11 @@ def count_flops(me: MultiExitSpec) -> FlopReport:
     its attach feature, including any trunk layers that were copied into
     the head by deep dropout insertion.
     """
-    deepest = netspec.deepest_attach(me)
-    shapes = [me.trunk.input_shape] + netspec.infer_shapes(
-        me.trunk.layers, me.trunk.input_shape
+    trunk = me.trunk.layers[: netspec.deepest_attach(me) + 1]
+    per_exit = tuple(
+        chain_flops(ex.head_layers, netspec.attach_shape(me, ex.attach_after)) for ex in me.exits
     )
-    flop_main = sum(
-        netspec.flops_of(layer, shapes[i]) for i, layer in enumerate(me.trunk.layers[: deepest + 1])
-    )
-    per_exit = []
-    for ex in me.exits:
-        cur = netspec.attach_shape(me, ex.attach_after)
-        total = 0
-        for layer in ex.head_layers:
-            total += netspec.flops_of(layer, cur)
-            cur = netspec.output_shape(layer, cur)
-        per_exit.append(total)
-    return FlopReport(flop_main=int(flop_main), per_exit=tuple(per_exit))
+    return FlopReport(flop_main=int(chain_flops(trunk, me.trunk.input_shape)), per_exit=per_exit)
 
 
 def cost_single_exit(report: FlopReport, n_sample: int) -> int:
@@ -182,6 +181,48 @@ def average_predictive_entropy(
     for probs in inference.ensemble_rows(me, weights, xs, n_pass, seeds, qformat):
         total += predictive_entropy(probs)
     return total / len(xs)
+
+
+@dataclass(frozen=True)
+class Scores:
+    """What score measures of a network on one labelled dataset."""
+
+    accuracy: float
+    ece: float
+    ape: float
+    early_exit: inference.EarlyExitScores | None  # None without a threshold
+
+
+def score(
+    me: MultiExitSpec,
+    weights: WeightStore,
+    data: Dataset,
+    n_pass: int,
+    seed: int,
+    noise: NoiseSpec,
+    flops: FlopReport,
+    qformat: QFormat | None,
+    threshold: float | None,
+    exit_mode: str,
+    n_bins: int,
+) -> Scores:
+    """Accuracy and ECE of the ensemble, or of confidence early exit given
+    a threshold, on data (input i keyed by inference.dataset_seeds), then
+    APE on the noise inputs: the one evaluation pipeline."""
+    early = None
+    if threshold is None:
+        probs = inference.ensemble_dataset(me, weights, data.features, n_pass, seed, qformat)
+    else:
+        early = inference.confidence_exit_dataset(
+            me, weights, data.features, n_pass, seed, threshold, exit_mode, flops, qformat
+        )
+        probs = early.probs
+    return Scores(
+        accuracy=accuracy(probs, data.labels),
+        ece=expected_calibration_error(probs, data.labels, n_bins),
+        ape=average_predictive_entropy(me, weights, noise, n_pass, qformat),
+        early_exit=early,
+    )
 
 
 @dataclass(frozen=True)

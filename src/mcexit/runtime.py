@@ -60,10 +60,6 @@ class QFormat:
         return 2.0 ** -self.frac_bits
 
     @property
-    def min_value(self) -> float:
-        return -(2.0 ** (self.integer_bits - 1))
-
-    @property
     def max_value(self) -> float:
         return (2 ** (self.total_bits - 1) - 1) * self.step
 
@@ -391,13 +387,6 @@ def slice_weights(
                 "bias": np.ascontiguousarray(b[: shape[0]]),
             }
     return out
-
-
-def quantize_store(store: WeightStore, q: QFormat) -> WeightStore:
-    return {
-        lid: {name: np.asarray(quantize(t, q)) for name, t in tensors.items()}
-        for lid, tensors in store.items()
-    }
 
 
 # --------------------------------------------------------------------------

@@ -431,6 +431,33 @@ class TestEvaluate:
         # own head flops once per pass.
         assert 1728 + 2 * 72 <= report["avg_flops_per_input"] <= 1728 + 2 * 240
 
+    @pytest.mark.parametrize("threshold", [None, "0.6"])
+    def test_scores_through_one_metrics_score_call(self, ws, tmp_path, monkeypatch, threshold):
+        """evaluate predicts and scores through metrics.score, once, and
+        reports what it returns."""
+        scored = []
+        score = metrics.score
+
+        def spy(*args, **kwargs):
+            scored.append(score(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(metrics, "score", spy)
+        out = tmp_path / "report.json"
+        argv = [
+            "evaluate", "--spec", str(ws / "multi_exit.json"),
+            "--weights", str(ws / "weights.json"), "--synth", "3,16,60",
+            "--n-pass", "2", "--noise-count", "8", "--out", str(out),
+        ]
+        assert cli.main(argv + (["--threshold", threshold] if threshold else [])) == 0
+        report = json.loads(out.read_text())
+        (s,) = scored
+        assert (report["accuracy"], report["ece"], report["ape"]) == (s.accuracy, s.ece, s.ape)
+        if threshold is None:
+            assert s.early_exit is None and "avg_flops_per_input" not in report
+        else:
+            assert report["avg_flops_per_input"] == s.early_exit.avg_flops_per_input
+
     def test_bits_recorded(self, ws):
         out = ws / "quant.json"
         rc = cli.main(

@@ -530,19 +530,87 @@ class TestGroupedTraining:
         assert any("num_masks 8" in r.error for r in alone if not r.ok)
         assert sum(r.ok for r in alone) == 12
 
+    def test_slice_mode_matches_each_point_alone(self):
+        """channel_mode 'slice': the narrowed points slice base_weights and
+        the full-width points train, in explore as alone; without
+        base_weights the narrowed points fail with the same message."""
+        net = netspec.parse_network(mlp_doc())
+        data = datasets.make_blobs(count=40, classes=3, dim=16, seed=8)
+        hw = default_hardware_model()
+        full = explorer.build_point_spec(make_point(n_exit=3), net, 7, EvaluationSettings())
+        train_data, _ = datasets.train_test_split(data, 0.3, 7)
+        cfg = train.TrainConfig(lr=0.3, epochs=5, batch=16, seed=1)
+        base = train.train_toy(full, train_data, cfg)
+        grids = ExplorationGrids(
+            mcd_rates=(0.25,),
+            masksembles_scales=(2.0,),
+            n_exits=(1, 3),
+            n_passes=(2,),
+            channel_fractions=(1.0, 0.5),
+        )
+        for base_weights in (base, None):
+            settings_ = EvaluationSettings(
+                epochs=3, batch=16, channel_mode="slice", base_weights=base_weights
+            )
+            alone = [
+                explorer.evaluate_design_point(dp, net, data, 4, hw, settings_, seed=7)
+                for dp in explorer.enumerate_design_points(grids)
+            ]
+            outcome = explorer.explore(
+                net, grids, Constraints(min_accuracy=0.0), Priority(metrics=("accuracy",)),
+                data, hw, settings_, seed=7, noise_count=4,
+            )
+            rows = explorer.results_to_rows(outcome.results)
+            assert rows == explorer.results_to_rows(alone)
+            narrowed = [r for r in alone if r.point.channel_fraction == 0.5]
+            assert all(r.ok for r in alone if r.point.channel_fraction == 1.0)
+            if base_weights is None:
+                assert {r.error for r in narrowed} == {
+                    "ValueError: channel_mode 'slice' needs base_weights for the full network"
+                }
+            else:
+                assert all(r.ok for r in narrowed), [r.error for r in narrowed]
+
+    def test_a_failed_group_gives_each_point_its_own_error(self):
+        """Labels beyond the network's classes fail the whole group, and
+        each point records the bad label its own shuffle meets first, as
+        it does alone."""
+        net = netspec.parse_network(mlp_doc())
+        data = datasets.make_blobs(count=40, classes=5, dim=16, seed=8)
+        hw = default_hardware_model()
+        grids = ExplorationGrids(
+            mcd_rates=(0.25, 0.5), masksembles_scales=(2.0,), n_exits=(3,), n_passes=(2,)
+        )
+        settings_ = EvaluationSettings(epochs=3, batch=16)
+        alone = [
+            explorer.evaluate_design_point(dp, net, data, 4, hw, settings_, seed=7)
+            for dp in explorer.enumerate_design_points(grids)
+        ]
+        outcome = explorer.explore(
+            net, grids, Constraints(min_accuracy=0.0), Priority(metrics=("accuracy",)),
+            data, hw, settings_, seed=7, noise_count=4,
+        )
+        assert explorer.results_to_rows(outcome.results) == explorer.results_to_rows(alone)
+        assert [r.error for r in alone] == [
+            "IndexError: index 4 is out of bounds for axis 0 with size 3",
+            "IndexError: index 3 is out of bounds for axis 0 with size 3",
+            "IndexError: index 4 is out of bounds for axis 0 with size 3",
+        ]
+
 
 def test_explore_builds_each_point_spec_and_the_split_once(monkeypatch):
-    """train_points hands every point's spec and the data split to scoring."""
+    """train_points hands every point's spec and the data split to scoring,
+    and a point that cannot be built, or cannot train, is tried once."""
     net = netspec.parse_network(mlp_doc())
     data = datasets.make_blobs(count=40, classes=3, dim=16, seed=8)
     grids = ExplorationGrids(
         mcd_rates=(0.25,),
         masksembles_scales=(2.0,),
-        n_exits=(1, 3),
-        n_passes=(2,),
+        n_exits=(1, 3, 4),  # 4 exits cannot be built
+        n_passes=(2, 32),  # 32 masks cannot train: the sites are narrower
         channel_fractions=(1.0, 0.5),
     )
-    calls = {explorer.build_point_spec: 0, explorer.train_test_split: 0}
+    calls = {explorer.build_point_spec: 0, explorer.train_test_split: 0, train.TrainStep: 0}
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -551,12 +619,49 @@ def test_explore_builds_each_point_spec_and_the_split_once(monkeypatch):
 
         return wrapper
 
-    for name in ("build_point_spec", "train_test_split"):
-        monkeypatch.setattr(explorer, name, counted(getattr(explorer, name)))
+    targets = ((explorer, "build_point_spec"), (explorer, "train_test_split"), (train, "TrainStep"))
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     outcome = explorer.explore(
         net, grids, Constraints(min_accuracy=0.0), Priority(metrics=("accuracy",)),
         data, default_hardware_model(), EvaluationSettings(epochs=3, batch=16),
         seed=7, noise_count=4,
     )
-    assert all(r.ok for r in outcome.results)
-    assert list(calls.values()) == [len(explorer.enumerate_design_points(grids)), 1]
+    errors = [r.error for r in outcome.results if not r.ok]
+    assert sum("n_exit must be in [1, 3], got 4" in e for e in errors) == 8
+    assert sum("smaller than num_masks 32" in e for e in errors) == 4
+    assert len(errors) == 12
+    points = len(explorer.enumerate_design_points(grids))
+    assert list(calls.values()) == [points, 1, points - 8]
+
+
+def test_explore_scores_each_point_through_metrics_score(monkeypatch):
+    """explore scores each point that builds and trains with one
+    metrics.score call, and reports what it returns."""
+    net = netspec.parse_network(mlp_doc())
+    data = datasets.make_blobs(count=40, classes=3, dim=16, seed=8)
+    grids = ExplorationGrids(
+        mcd_rates=(0.25,),
+        masksembles_scales=(2.0,),
+        n_exits=(3, 4),  # 4 exits cannot be built
+        n_passes=(2,),
+        thresholds=(None, 0.9),
+    )
+    scored = []
+    score = metrics.score
+
+    def spy(*args, **kwargs):
+        scored.append(score(*args, **kwargs))
+        return scored[-1]
+
+    monkeypatch.setattr(metrics, "score", spy)
+    outcome = explorer.explore(
+        net, grids, Constraints(min_accuracy=0.0), Priority(metrics=("accuracy",)),
+        data, default_hardware_model(), EvaluationSettings(epochs=3, batch=16),
+        seed=7, noise_count=4,
+    )
+    ok = [r for r in outcome.results if r.ok]
+    assert len(ok) == 4 and len(scored) == 4
+    for r, s in zip(ok, scored):
+        assert (r.report.accuracy, r.report.ece, r.report.ape) == (s.accuracy, s.ece, s.ape)
+        assert (s.early_exit is None) == (r.point.threshold is None)

@@ -393,19 +393,6 @@ class TestWeightStore:
         out = runtime.run_layers(layers, np.ones(5, np.float32), runtime.zero_weights(layers))
         np.testing.assert_allclose(out, np.full(4, 0.25, np.float32), atol=1e-7)
 
-    def test_quantize_store(self):
-        layers = [
-            layer({"id": "fc", "kind": "dense", "params": {"in_features": 2, "out_features": 2}})
-        ]
-        store = {
-            "fc": {
-                "weights": np.full((2, 2), 0.3, np.float32),
-                "bias": np.zeros(2, np.float32),
-            }
-        }
-        q = runtime.quantize_store(store, QFormat(8, 1))
-        np.testing.assert_array_equal(q["fc"]["weights"], np.full((2, 2), 0.296875, np.float32))
-
     def test_16_bit_near_lossless_on_activations(self):
         x = np.linspace(-2, 2, 64).astype(np.float32)
         out = quantize(x, QFormat(16, 3))

@@ -48,16 +48,27 @@ class InfeasibleError(RuntimeError):
     """No design point or mapping satisfies the stated constraints."""
 
 
-def _load_data(args: argparse.Namespace) -> Dataset:
+def _load_data(args: argparse.Namespace, me: netspec.MultiExitSpec) -> Dataset:
+    """The --dataset or --synth data, whose labels must each name one of
+    the classes of me."""
     if getattr(args, "dataset", None):
-        return load_dataset(args.dataset)
-    if getattr(args, "synth", None):
+        data = load_dataset(args.dataset)
+    elif getattr(args, "synth", None):
         parts = args.synth.split(",")
         if len(parts) != 3:
             raise ValueError("--synth takes classes,features,count")
         classes, features, count = (int(p) for p in parts)
-        return make_blobs(count=count, classes=classes, dim=features, seed=args.data_seed)
-    raise ValueError("provide --dataset FILE or --synth classes,features,count")
+        data = make_blobs(count=count, classes=classes, dim=features, seed=args.data_seed)
+    else:
+        raise ValueError("provide --dataset FILE or --synth classes,features,count")
+    labels = data.labels
+    bad = np.unique(labels[(labels < 0) | (labels >= me.class_count)])
+    if bad.size:
+        raise ValueError(
+            f"dataset labels {', '.join(str(v) for v in bad)} lie outside the "
+            f"{me.class_count} classes 0..{me.class_count - 1} of the spec"
+        )
+    return data
 
 
 def _add_data_args(sub: argparse.ArgumentParser) -> None:
@@ -125,7 +136,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     me = netspec.load_multi_exit(args.spec)
-    data = _load_data(args)
+    data = _load_data(args, me)
     cfg = train.TrainConfig(lr=args.lr, epochs=args.epochs, batch=args.batch, seed=args.seed)
     weights = train.train_toy(me, data, cfg)
     runtime.save_weights(weights, args.out)
@@ -144,9 +155,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.noise_count < 1:
+        raise ValueError(f"--noise-count must be >= 1, got {args.noise_count}")
     me = netspec.load_multi_exit(args.spec)
     weights = runtime.load_weights(args.weights)
-    data = _load_data(args)
+    data = _load_data(args, me)
     qformat = runtime.datapath_format(args.bits, args.int_bits)
     flops = metrics.count_flops(me)
     n_sample = me.n_exit * args.n_pass

@@ -245,7 +245,7 @@ def _head(
             # -0.0, which wraparound requantizes to +0.0
             on_grid = on_grid and qformat.saturating
         if qformat is not None and not on_grid:
-            x = runtime.quantize(x, qformat)
+            x = runtime.quantize(x, qformat, in_place=True)  # the sampler's new array
             on_grid = True
     return np.asarray(x, dtype=np.float64)
 

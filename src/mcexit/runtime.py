@@ -7,11 +7,17 @@ forward_batch quantizes whatever it runs with a qformat; it is the caller
 (the inference executor) that runs a layer of GRID_PRESERVING_KINDS
 without one when its input is already on the grid. Also owns weight
 initialization and the manifest-plus-blob weights file format.
+
+Every weight store this module and the trainer return holds read-only
+arrays, and the fixed-point codes of a read-only weight array are worked
+out once per format and kept until the array dies. A caller's writable
+array is quantized again on every call, so its codes are never stale.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
@@ -50,6 +56,14 @@ class QFormat:
             raise ValueError("integer_bits must lie in [1, total_bits]")
         if self.mode not in QUANT_MODES:
             raise ValueError(f"mode must be one of {QUANT_MODES}")
+        # quantize's constants, worked out once per format; not fields, so
+        # equality, hashing and to_dict see only the four above
+        frac_bits = self.total_bits - self.integer_bits
+        object.__setattr__(self, "_scale", 2.0**frac_bits)
+        object.__setattr__(self, "_step", 2.0**-frac_bits)
+        object.__setattr__(self, "_lo", -(2 ** (self.total_bits - 1)))
+        object.__setattr__(self, "_hi", 2 ** (self.total_bits - 1) - 1)
+        object.__setattr__(self, "_span", 2**self.total_bits)
 
     @property
     def frac_bits(self) -> int:
@@ -57,11 +71,11 @@ class QFormat:
 
     @property
     def step(self) -> float:
-        return 2.0 ** -self.frac_bits
+        return self._step
 
     @property
     def max_value(self) -> float:
-        return (2 ** (self.total_bits - 1) - 1) * self.step
+        return self._hi * self._step
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -84,33 +98,35 @@ def datapath_format(bits: int | None, integer_bits: int) -> QFormat | None:
     return QFormat(total_bits=bits, integer_bits=min(integer_bits, bits))
 
 
-def quantize(x: np.ndarray | float, q: QFormat) -> np.ndarray | float:
+def quantize(x: np.ndarray | float, q: QFormat, *, in_place: bool = False) -> np.ndarray | float:
     """Snap values onto the fixed-point grid of q.
 
     Round-to-nearest-even or truncation toward negative infinity, then
     saturation at the representable range (or two's-complement wraparound
     when saturating is off). Idempotent: grid values map to themselves.
-    Scales by 2**frac_bits and back by step, both exact powers of two, and
-    works in place on one new array, so x itself is never written to.
+    Scales by 2**frac_bits and back by step, both exact powers of two,
+    with the constants q worked out once. Works in place on one new array,
+    so x itself is never written to; with in_place, a float array x itself
+    holds the result, which suits only an array that nothing else reads.
     Float arrays keep their dtype; anything else is quantized as float64.
     """
     floating = isinstance(x, np.ndarray) and x.dtype.kind == "f"
     arr = np.asarray(x, dtype=None if floating else np.float64)
     scalar = arr.ndim == 0
-    codes = np.multiply(arr, arr.dtype.type(2.0**q.frac_bits), out=np.empty_like(arr))
+    # a non-float x was converted to the new array arr
+    codes = np.multiply(arr, q._scale, out=arr if in_place or not floating else np.empty_like(arr))
     if q.mode == "round_to_nearest_even":
         np.rint(codes, out=codes)
     else:
         np.floor(codes, out=codes)
-    lo, hi = -(2 ** (q.total_bits - 1)), 2 ** (q.total_bits - 1) - 1
     if q.saturating:
-        np.maximum(codes, lo, out=codes)
-        np.minimum(codes, hi, out=codes)
+        np.maximum(codes, q._lo, out=codes)
+        np.minimum(codes, q._hi, out=codes)
     else:
-        codes -= lo
-        np.mod(codes, 2**q.total_bits, out=codes)
-        codes += lo
-    codes *= arr.dtype.type(q.step)
+        codes -= q._lo
+        np.mod(codes, q._span, out=codes)
+        codes += q._lo
+    codes *= q._step
     return codes.item() if scalar else codes
 
 
@@ -224,9 +240,46 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True, dtype=x.dtype)
 
 
+# The codes of read-only weight arrays: id(array) -> (weak reference to the
+# array, {format: codes}). An array's entry leaves when the array dies, so
+# it never outlives the array and a reused id never finds stale codes.
+_weight_codes: dict[int, tuple[weakref.ref, dict[QFormat, np.ndarray]]] = {}
+
+
+def _unchanging(a: np.ndarray) -> bool:
+    """Whether no write can reach the values of a: a and every array it
+    is a view of are read-only, and the last of them owns its memory
+    rather than some other object's buffer."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _codes(a: np.ndarray, q: QFormat) -> np.ndarray:
+    """quantize(a, q), worked out once per format for an unchanging array
+    and on every call for any other, whose values may have changed."""
+    if not _unchanging(a):
+        return quantize(a, q)
+    key = id(a)
+    entry = _weight_codes.get(key)
+    if entry is None or entry[0]() is not a:
+        entry = (weakref.ref(a, lambda _, key=key: _weight_codes.pop(key, None)), {})
+        _weight_codes[key] = entry
+    codes = entry[1].get(q)
+    if codes is None:
+        codes = entry[1][q] = quantize(a, q)
+        codes.flags.writeable = False  # every call with a and q shares it
+    return codes
+
+
 def _layer_params(
     layer: LayerSpec, weights: WeightStore | None, qformat: QFormat | None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """A learnable layer's weights and bias, as fixed-point codes with a
+    qformat: read-only arrays are quantized once per format, a caller's
+    writable ones on every call."""
     if weights is None or layer.id not in weights:
         raise KeyError(f"no weights for layer {layer.id!r}")
     w = weights[layer.id]["weights"]
@@ -236,8 +289,8 @@ def _layer_params(
             f"layer {layer.id!r}: weight shape {w.shape} does not match params"
         )
     if qformat is not None:
-        w = quantize(w, qformat)
-        b = quantize(b, qformat)
+        w = _codes(w, qformat)
+        b = _codes(b, qformat)
     return w, b
 
 
@@ -256,11 +309,13 @@ def forward_batch(
     batch, whose blocking changes the summation order with the batch
     size. conv2d loops over the rows.
 
-    With a qformat, weights are quantized once per call before use and
-    the output activation is quantized afterward; softmax outputs are
-    exempt so probability vectors keep summing to one. dropout_point
-    layers are an identity here; their stochastic realization belongs to
-    the caller. A flop_counter is charged the per-sample FLOPs per row.
+    With a qformat, the weights are used as fixed-point codes, which a
+    read-only weight array has worked out once per format (see
+    _layer_params), and the output activation is quantized afterward, in
+    place when the layer built a new array; softmax outputs are exempt so
+    probability vectors keep summing to one. dropout_point layers are an
+    identity here; their stochastic realization belongs to the caller. A
+    flop_counter is charged the per-sample FLOPs per row.
     """
     x = np.asarray(x)
     out_shape = netspec.output_shape(layer, x.shape[1:])  # shape check, raises with layer id
@@ -284,7 +339,8 @@ def forward_batch(
     else:  # dropout_point
         out = x
     if qformat is not None and kind != "dropout_point":
-        out = quantize(out, qformat)
+        # out is new, but flatten's is a view of x
+        out = quantize(out, qformat, in_place=kind != "flatten")
     return out
 
 
@@ -316,6 +372,16 @@ def run_layers(
 # weight initialization and channel slicing
 
 
+def read_only(store: WeightStore) -> WeightStore:
+    """Mark every array of store read-only, as in each store mcexit
+    returns, so that its fixed-point codes are worked out once per format;
+    returns store."""
+    for named in store.values():
+        for arr in named.values():
+            arr.flags.writeable = False
+    return store
+
+
 def _fans(layer: LayerSpec) -> tuple[int, int]:
     if layer.kind == "dense":
         return layer.params["in_features"], layer.params["out_features"]
@@ -332,7 +398,8 @@ def _weight_shape(layer: LayerSpec) -> tuple[int, ...]:
 
 
 def init_weights(layers: Iterable[LayerSpec], seed: int) -> WeightStore:
-    """Uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out)), float32.
+    """Uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out)), float32,
+    in read-only arrays.
 
     Each layer draws from its own stream keyed by (seed, layer id), so
     the values do not depend on enumeration order.
@@ -347,7 +414,7 @@ def init_weights(layers: Iterable[LayerSpec], seed: int) -> WeightStore:
         w = gen.uniform(-bound, bound, size=_weight_shape(layer)).astype(np.float32)
         b = np.zeros(_weight_shape(layer)[0], dtype=np.float32)
         store[layer.id] = {"weights": w, "bias": b}
-    return store
+    return read_only(store)
 
 
 def zero_weights(layers: Iterable[LayerSpec]) -> WeightStore:
@@ -359,14 +426,15 @@ def zero_weights(layers: Iterable[LayerSpec]) -> WeightStore:
             "weights": np.zeros(_weight_shape(layer), dtype=np.float32),
             "bias": np.zeros(_weight_shape(layer)[0], dtype=np.float32),
         }
-    return store
+    return read_only(store)
 
 
 def slice_weights(
     store: WeightStore, old_layers: Iterable[LayerSpec], new_layers: Iterable[LayerSpec]
 ) -> WeightStore:
     """Adapt trained weights to a channel-scaled twin of the same network
-    by keeping the leading channels/features of every tensor."""
+    by keeping the leading channels/features of every tensor, copied into
+    new read-only arrays."""
     out: WeightStore = {}
     for old, new in zip(old_layers, new_layers):
         if old.id != new.id or old.kind != new.kind:
@@ -376,17 +444,12 @@ def slice_weights(
         w = store[old.id]["weights"]
         b = store[old.id]["bias"]
         shape = _weight_shape(new)
-        if new.kind == "dense":
-            out[new.id] = {
-                "weights": np.ascontiguousarray(w[: shape[0], : shape[1]]),
-                "bias": np.ascontiguousarray(b[: shape[0]]),
-            }
-        else:
-            out[new.id] = {
-                "weights": np.ascontiguousarray(w[: shape[0], : shape[1], :, :]),
-                "bias": np.ascontiguousarray(b[: shape[0]]),
-            }
-    return out
+        # copies, so that no write to store reaches them
+        out[new.id] = {
+            "weights": np.array(w[: shape[0], : shape[1]], order="C"),
+            "bias": np.array(b[: shape[0]], order="C"),
+        }
+    return read_only(out)
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +489,8 @@ def save_weights(store: WeightStore, manifest_path: str | Path) -> None:
 
 
 def load_weights(manifest_path: str | Path) -> WeightStore:
-    """Read a manifest+blob pair back; rejects offset or length mismatches."""
+    """Read a manifest+blob pair back into read-only arrays; rejects
+    offset or length mismatches."""
     manifest_path = Path(manifest_path)
     manifest = fields(read_json(manifest_path), "manifest", _MANIFEST_KEYS, ("blob", "tensors"))
     blob = (manifest_path.parent / manifest["blob"]).read_bytes()
@@ -460,4 +524,4 @@ def load_weights(manifest_path: str | Path) -> WeightStore:
         raise ValueError(
             f"blob holds {len(blob)} bytes but the manifest accounts for {expected_offset}"
         )
-    return store
+    return read_only(store)

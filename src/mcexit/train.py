@@ -23,7 +23,7 @@ from . import netspec
 from .datasets import Dataset
 from .dropout import derive_seed, generate_masks, keyed_generator
 from .netspec import LayerSpec, MultiExitSpec
-from .runtime import WeightStore, init_weights
+from .runtime import WeightStore, init_weights, read_only
 
 SUPPORTED_KINDS = ("dense", "relu", "softmax", "flatten", "max_pool", "avg_pool", "dropout_point")
 
@@ -318,7 +318,8 @@ def train_models(
     steps: Sequence[TrainStep], data: Dataset, cfgs: Sequence[TrainConfig]
 ) -> list[WeightStore]:
     """Train one model per (step, cfg) pair together and return each
-    one's float32 weights, byte for byte what train_toy gives it alone.
+    one's float32 weights in read-only arrays, byte for byte what
+    train_toy gives it alone.
 
     The steps' specs must be the same apart from their dropout configs,
     and the configs the same apart from their seeds. Each model keeps its
@@ -339,8 +340,10 @@ def train_models(
 
     models = list(zip(steps, cfgs))
     stores = [init_weights(netspec.all_layers(s.me), c.seed) for s, c in models]
+    # the updates below write in place, so a lone model must not keep its
+    # read-only init arrays (a group's np.stack has copied them already)
     weights = {
-        lid: {name: _stack([s[lid][name] for s in stores]) for name in named}
+        lid: {name: np.array(_stack([s[lid][name] for s in stores])) for name in named}
         for lid, named in stores[0].items()
     }
     x_all = np.asarray(data.features, dtype=np.float32)
@@ -366,14 +369,15 @@ def train_models(
                 for name, g in named.items():
                     weights[lid][name] -= lr * g
     if len(steps) == 1:
-        return [weights]
-    return [
+        return [read_only(weights)]
+    per_model = [
         {lid: {name: t[m].copy() for name, t in named.items()} for lid, named in weights.items()}
         for m in range(len(steps))
     ]
+    return [read_only(store) for store in per_model]
 
 
 def train_toy(me: MultiExitSpec, data: Dataset, cfg: TrainConfig) -> WeightStore:
-    """Train and return float32 weights; same seed, same bytes out: the
-    one-model call of train_models."""
+    """Train and return float32 weights in read-only arrays; same seed,
+    same bytes out: the one-model call of train_models."""
     return train_models([TrainStep(me)], data, [cfg])[0]

@@ -996,13 +996,20 @@ def _transform(root: Path, text: str) -> list[str]:
 
 
 def _train(ws: Path, root: Path, text: str) -> list[str]:
-    argv = ["train", "--spec", str(ws / "multi_exit.json")]
-    return argv + ["--dataset", _write(root, "d.json", text), "--out", str(root / "w.json")]
+    return _train_on(ws, root, ["--dataset", _write(root, "d.json", text)])
+
+
+def _train_on(ws: Path, root: Path, data: list[str]) -> list[str]:
+    return ["train", "--spec", str(ws / "multi_exit.json"), *data, "--out", str(root / "w.json")]
 
 
 def _evaluate(ws: Path, root: Path, text: str) -> list[str]:
+    return _evaluate_on(ws, root, ["--dataset", _write(root, "d.json", text)])
+
+
+def _evaluate_on(ws: Path, root: Path, data: list[str]) -> list[str]:
     argv = ["evaluate", "--spec", str(ws / "multi_exit.json"), "--weights", str(ws / "weights.json")]
-    return argv + ["--dataset", _write(root, "d.json", text), "--out", str(root / "r.json")]
+    return argv + data + ["--out", str(root / "r.json")]
 
 
 BLOBS = {"count": 60, "classes": 3, "dim": 16, "seed": 5}
@@ -1104,6 +1111,26 @@ MALFORMED = [
     ),
     pytest.param(
         lambda ws, t: _explore(t, seed="3"), ["config", "seed", "integer"], id="seed-is-a-string"
+    ),
+    pytest.param(
+        lambda ws, t: _train_on(ws, t, ["--synth", "5,16,90"]),
+        ["dataset labels 3, 4", "3 classes"],
+        id="train-labels-past-the-class-count",
+    ),
+    pytest.param(
+        lambda ws, t: _evaluate(ws, t, json.dumps({"features": [[0.5] * 16], "labels": [-1]})),
+        ["dataset labels -1", "3 classes"],
+        id="evaluate-label-is-negative",
+    ),
+    pytest.param(
+        lambda ws, t: _evaluate_on(ws, t, ["--synth", "5,16,30"]),
+        ["dataset labels 3, 4", "3 classes"],
+        id="evaluate-labels-past-the-class-count",
+    ),
+    pytest.param(
+        lambda ws, t: _evaluate_on(ws, t, ["--synth", "3,16,30", "--noise-count", "0"]),
+        ["--noise-count", ">= 1"],
+        id="evaluate-noise-count-is-0",
     ),
 ]
 

@@ -273,19 +273,26 @@ class TestGridSkip:
         assert not quantized["r1"] and not quantized["r2"] and not quantized["r3"]
         assert quantized["p1"] and quantized["p2"]
 
-    def test_quantize_calls_on_the_readme_mlp(self, mcd_spec, mcd_weights, blob_data, monkeypatch):
-        calls = []
+    def test_quantize_calls_on_the_readme_mlp(self, mcd_spec, blob_data, monkeypatch):
+        """A fresh store's weights quantize on its first 8-bit predict only;
+        every predict quantizes the same activations."""
+        weights = runtime.init_weights(netspec.all_layers(mcd_spec), 3)
+        stored = {id(a) for named in weights.values() for a in named.values()}
+        calls = {"weights": 0, "activations": 0}
         original = runtime.quantize
 
-        def spy(x, q):
-            calls.append(q)
-            return original(x, q)
+        def spy(x, q, **kwargs):
+            calls["weights" if id(x) in stored else "activations"] += 1
+            return original(x, q, **kwargs)
 
         monkeypatch.setattr(runtime, "quantize", spy)
-        inference.predict(mcd_spec, blob_data.features[0], 3, mcd_weights, 1, QFormat(8, 3))
-        # weights and biases of 6 dense layers, their 6 outputs, 2 average
+        x = blob_data.features[0]
+        inference.predict(mcd_spec, x, 3, weights, 1, QFormat(8, 3))
+        # weights and biases of 6 dense layers; their 6 outputs, 2 average
         # pools and 3 MC-dropout sites; the 3 trunk relus quantize nothing
-        assert len(calls) == 23
+        assert calls == {"weights": 12, "activations": 11}
+        inference.predict(mcd_spec, x, 3, weights, 1, QFormat(8, 3))
+        assert calls == {"weights": 12, "activations": 22}
 
 
 class TestRunTrunk:

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mcexit import netspec, runtime
+from conftest import build_mcd_spec, rng
+from mcexit import netspec, runtime, train
 from mcexit.runtime import FlopCounter, QFormat, quantize
 
 
@@ -397,3 +401,164 @@ class TestWeightStore:
         x = np.linspace(-2, 2, 64).astype(np.float32)
         out = quantize(x, QFormat(16, 3))
         assert np.max(np.abs(out - x)) <= 2 ** -13
+
+
+DENSE = {"id": "fc", "kind": "dense", "params": {"in_features": 6, "out_features": 5}}
+CONV = {
+    "id": "cv",
+    "kind": "conv2d",
+    "params": {"in_channels": 2, "out_channels": 3, "kernel_h": 3, "kernel_w": 3, "padding": 1},
+}
+# every width, rounding and overflow rule, at integer_bits 3
+CODE_FORMATS = [
+    QFormat(bits, 3, mode=mode, saturating=saturating)
+    for bits in runtime.ALLOWED_TOTAL_BITS
+    for mode in runtime.QUANT_MODES
+    for saturating in (True, False)
+]
+
+
+def writable(store):
+    """A copy of store in writable arrays, which quantize on every call."""
+    return {lid: {name: a.copy() for name, a in named.items()} for lid, named in store.items()}
+
+
+def wide_store(doc, seed):
+    """Read-only weights and bias for one layer, normal with standard
+    deviation 4, so that every format saturates or wraps some of them."""
+    lay = layer(doc)
+    shapes = {name: a.shape for name, a in runtime.init_weights([lay], 0)[lay.id].items()}
+    gen = rng(seed)
+    named = {name: gen.normal(0, 4, shape).astype(np.float32) for name, shape in shapes.items()}
+    return lay, runtime.read_only({lay.id: named})
+
+
+def batch_for(lay, seed):
+    shape = (4, 6) if lay.kind == "dense" else (4, 2, 5, 5)
+    return rng(seed).normal(0, 2, shape).astype(np.float32)
+
+
+class TestWeightCodes:
+    """A read-only weight array quantizes once per format, to the bits
+    quantize gives it on every call; any other array quantizes on every
+    call."""
+
+    @pytest.mark.parametrize("doc", [DENSE, CONV], ids=["dense", "conv2d"])
+    def test_codes_equal_quantize_on_every_call(self, doc):
+        lay, store = wide_store(doc, 1)
+        x = batch_for(lay, 2)
+        per_call = {q: runtime.forward_batch(lay, x, writable(store), q) for q in CODE_FORMATS}
+        # every format on one store: the first round works the codes out,
+        # the second reuses them
+        for _ in range(2):
+            for q in CODE_FORMATS:
+                w, b = runtime._layer_params(lay, store, q)
+                for codes, name in ((w, "weights"), (b, "bias")):
+                    ref = quantize(store[lay.id][name], q)
+                    assert np.array_equal(codes.view(np.uint32), ref.view(np.uint32)), (q, name)
+                    assert not codes.flags.writeable
+                out = runtime.forward_batch(lay, x, store, q)
+                assert np.array_equal(out.view(np.uint32), per_call[q].view(np.uint32)), q
+        assert runtime._layer_params(lay, store, q)[0] is w
+
+    def test_a_replaced_array_gives_its_own_codes(self):
+        lay, store = wide_store(DENSE, 1)
+        x, q = batch_for(lay, 2), QFormat(8, 3)
+        before = runtime.forward_batch(lay, x, store, q)
+        store[lay.id]["weights"] = wide_store(DENSE, 3)[1][lay.id]["weights"]
+        after = runtime.forward_batch(lay, x, store, q)
+        assert np.array_equal(after, runtime.forward_batch(lay, x, writable(store), q))
+        assert not np.array_equal(after, before)
+
+    @pytest.mark.parametrize("held", ["writable", "read-only-view", "read-only-over-a-buffer"])
+    def test_a_changed_writable_array_changes_the_output(self, held):
+        lay, store = wide_store(DENSE, 1)
+        store = writable(store)
+        x, q = batch_for(lay, 2), QFormat(8, 3)
+        w = store[lay.id]["weights"]
+        # read-only in the last two cases, but a write to w still reaches it
+        if held == "read-only-over-a-buffer":
+            buf = bytearray(w.tobytes())
+            w = np.frombuffer(buf, dtype=np.float32).reshape(w.shape)
+            ro = np.frombuffer(buf, dtype=np.float32)
+            ro.flags.writeable = False
+            store[lay.id]["weights"] = ro.reshape(w.shape)
+        elif held == "read-only-view":
+            store[lay.id]["weights"] = w.view()
+            store[lay.id]["weights"].flags.writeable = False
+        before = runtime.forward_batch(lay, x, store, q)
+        w *= 0.5
+        after = runtime.forward_batch(lay, x, store, q)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, runtime.forward_batch(lay, x, writable(store), q))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            DENSE,
+            CONV,
+            {"id": "r", "kind": "relu"},
+            {"id": "mp", "kind": "max_pool", "params": {"window": 2}},
+            {"id": "ap", "kind": "avg_pool", "params": {"window": 2}},
+            {"id": "f", "kind": "flatten"},
+            {"id": "dp", "kind": "dropout_point"},
+        ],
+        ids=lambda doc: doc["kind"],
+    )
+    def test_a_quantized_layer_never_writes_its_input(self, doc):
+        lay = layer(doc)
+        store = wide_store(doc, 1)[1] if lay.kind in netspec.LEARNABLE_KINDS else None
+        x = batch_for(lay, 2) if store else rng(2).normal(0, 2, (4, 2, 6, 6)).astype(np.float32)
+        before = x.copy()
+        runtime.forward_batch(lay, x, store, QFormat(8, 3))
+        assert x.tobytes() == before.tobytes()
+
+    def test_every_store_producer_returns_read_only_arrays(self, tmp_path, blob_split):
+        me = build_mcd_spec()
+        layers = netspec.all_layers(me)
+        init = runtime.init_weights(layers, 1)
+        runtime.save_weights(init, tmp_path / "w.json")
+        cfg = train.TrainConfig(lr=0.1, epochs=1, batch=32, seed=1)
+        step = train.TrainStep(me)
+        source = writable(init)
+        stores = {
+            "init_weights": init,
+            "zero_weights": runtime.zero_weights(layers),
+            "load_weights": runtime.load_weights(tmp_path / "w.json"),
+            "train_toy": train.train_toy(me, blob_split[0], cfg),
+            "train_models": train.train_models(
+                [step, step], blob_split[0], [cfg, dataclasses.replace(cfg, seed=2)]
+            )[1],
+            "slice_weights": runtime.slice_weights(source, layers, layers),
+        }
+        for name, store in stores.items():
+            for named in store.values():
+                for a in named.values():
+                    assert not a.flags.writeable, name
+                    assert runtime._unchanging(a), name  # so its codes are worked out once
+                    with pytest.raises(ValueError, match="read-only"):
+                        a += 1
+        # a slice keeps no view of the caller's writable arrays
+        for lid, named in stores["slice_weights"].items():
+            for name, a in named.items():
+                assert not np.shares_memory(a, source[lid][name])
+
+    def test_codes_die_with_their_store(self):
+        lay, store = wide_store(CONV, 1)
+        x = batch_for(lay, 2)
+        for q in (QFormat(8, 3), QFormat(4, 2)):
+            runtime.forward_batch(lay, x, store, q)
+        keys = [id(a) for a in store[lay.id].values()]
+        codes = [weakref.ref(c) for key in keys for c in runtime._weight_codes[key][1].values()]
+        assert len(codes) == 4
+        del store
+        gc.collect()
+        assert all(ref() is None for ref in codes)
+        assert not set(keys) & set(runtime._weight_codes)
+
+    def test_a_format_is_its_four_fields(self):
+        q = QFormat(8, 3)
+        assert q == QFormat.from_dict(q.to_dict()) and hash(q) == hash(QFormat(8, 3))
+        assert repr(q) == "QFormat(total_bits=8, integer_bits=3, mode='round_to_nearest_even', saturating=True)"
+        wide = dataclasses.replace(q, total_bits=16)
+        assert (wide.step, wide.max_value) == (2.0**-13, 32767 * 2.0**-13)

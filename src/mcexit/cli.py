@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import emitter, explorer, inference, mapping, metrics, netspec, runtime, train
-from .datasets import Dataset, load_dataset, make_blobs, noise_like
+from .datasets import Dataset, label_error, load_dataset, make_blobs, noise_like
 from .documents import ParseError, fields, read_json, write_json
 from .dropout import DropoutConfig, derive_seed
 from .metrics import MetricsReport
@@ -61,13 +61,8 @@ def _load_data(args: argparse.Namespace, me: netspec.MultiExitSpec) -> Dataset:
         data = make_blobs(count=count, classes=classes, dim=features, seed=args.data_seed)
     else:
         raise ValueError("provide --dataset FILE or --synth classes,features,count")
-    labels = data.labels
-    bad = np.unique(labels[(labels < 0) | (labels >= me.class_count)])
-    if bad.size:
-        raise ValueError(
-            f"dataset labels {', '.join(str(v) for v in bad)} lie outside the "
-            f"{me.class_count} classes 0..{me.class_count - 1} of the spec"
-        )
+    if (err := label_error(data, me.class_count)) is not None:
+        raise err
     return data
 
 

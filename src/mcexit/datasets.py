@@ -33,6 +33,14 @@ class Dataset:
         return len(self.labels)
 
 
+def label_error(data: Dataset, classes: int) -> ValueError | None:
+    """The error naming every label of data outside the classes
+    0..classes-1 of a spec, or None."""
+    bad = np.unique(data.labels[(data.labels < 0) | (data.labels >= classes)])
+    message = f"lie outside the {classes} classes 0..{classes - 1} of the spec"
+    return ValueError(f"dataset labels {', '.join(map(str, bad))} {message}") if bad.size else None
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian input distribution used for out-of-distribution probing."""

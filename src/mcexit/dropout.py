@@ -407,3 +407,11 @@ def masksembles_forward_batch(
     else:
         raise ValueError(f"masksembles expects rank-1 or rank-3 input, got rank {x.ndim - 1}")
     return (x * mult).astype(x.dtype, copy=False)
+
+
+def masksembles_passes(x: np.ndarray, n_pass: int, masks: MaskSet) -> np.ndarray:
+    """masksembles_forward_batch of input-major rows, row i * n_pass + p
+    taking mask p (p < masks.num_masks), as one broadcast multiply."""
+    rows = masks.masks[:n_pass].reshape(n_pass, -1, *(1,) * (x.ndim - 2))
+    out = x.reshape(len(x) // n_pass, n_pass, *x.shape[1:]) * rows
+    return out.astype(x.dtype, copy=False).reshape(x.shape)

@@ -14,13 +14,14 @@ are recorded per point, never aborting a sweep.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from . import emitter, inference, mapping, metrics, netspec, runtime, train
-from .datasets import Dataset, noise_like, train_test_split
+from .datasets import Dataset, label_error, noise_like, train_test_split
 from .documents import ParseError, array, field_names, fields, typed
 from .dropout import DropoutConfig, derive_seed
 from .mapping import HardwareModel, LatencyEstimate
@@ -399,7 +400,9 @@ def train_points(
     settings.base_weights. Every other point trains, and points whose specs
     differ only in their dropout config train together in one
     train_models call, each to the weight bytes train_toy gives it alone.
-    A point that cannot be built, sliced or trained carries its error.
+    A point that cannot be built, sliced or trained carries its error, as
+    does one whose spec has fewer classes than the labels of data name:
+    the labels are checked once for each class count.
     """
     train_data, test_data = train_test_split(data, settings.test_fraction, seed)
     specs: dict[int, netspec.MultiExitSpec] = {}
@@ -407,9 +410,14 @@ def train_points(
     errors: dict[int, str] = {}
     steps: dict[int, train.TrainStep] = {}
     groups: list[tuple[netspec.MultiExitSpec, list[int]]] = []
+    labels_outside = functools.cache(lambda classes: label_error(data, classes))
     for i, dp in enumerate(points):
         try:
             specs[i] = build_point_spec(dp, base_net, seed, settings)
+            bad_labels = labels_outside(specs[i].class_count)
+            if bad_labels is not None:
+                errors[i] = _failure(bad_labels)
+                continue
             if settings.channel_mode == "slice" and dp.channel_fraction != 1.0:
                 if settings.base_weights is None:
                     raise ValueError("channel_mode 'slice' needs base_weights for the full network")
@@ -429,23 +437,14 @@ def train_points(
         else:
             members.append(i)
 
-    def fit(members: list[int]) -> None:
+    for _, members in groups:
         cfgs = [_train_config(points[i], settings, seed) for i in members]
         try:
             weights.update(
                 zip(members, train.train_models([steps[i] for i in members], train_data, cfgs))
             )
         except Exception as err:  # recorded, never aborts the sweep
-            if len(members) == 1:
-                errors[members[0]] = _failure(err)
-                return
-            # a group's error can name another member's data (the first
-            # bad label its shuffle meets): each member trains again alone
-            for i in members:
-                fit([i])
-
-    for _, members in groups:
-        fit(members)
+            errors.update(dict.fromkeys(members, _failure(err)))
     return [
         TrainedPoint(train_data, test_data, specs.get(i), weights.get(i), errors.get(i))
         for i in range(len(points))

@@ -9,6 +9,11 @@ batch-invariant runtime. Random draws come from counter-based streams
 keyed by (seed, pass, layer id), so results do not depend on evaluation
 order or on batching.
 
+A spec's step table (_table), resolved on its first call and kept on the
+spec, holds everything that depends on the spec alone: each layer's
+runtime.Step, attach depths, grid flags and mask tables. A call checks
+its input shape against it and then runs only the kernels.
+
 On a fixed-point datapath each value is quantized once, where it leaves
 the grid: the executor tracks whether the current activation is on the
 grid. The network input is not; the output of every layer run with the
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from .dropout import (
     config_digest,
     derive_seed,
     generate_masks,
-    masksembles_forward_batch,
+    masksembles_passes,
     mcd_forward_batch,
     stream_keys,
 )
@@ -66,8 +71,8 @@ class PredictionSet:
                 f"samples shape {self.samples.shape} does not match "
                 f"({self.n_exit}, {self.n_pass}, {self.class_count})"
             )
-        sums = self.samples.sum(axis=2)
-        if not np.all(np.abs(sums - 1.0) <= 1e-6):
+        sums = np.add.reduce(self.samples, axis=2)
+        if not (np.abs(sums - 1.0) <= 1e-6).all():
             raise ValueError("every stored probability vector must sum to 1 within 1e-6")
 
     @property
@@ -111,25 +116,16 @@ class ExitDecision:
 
 def site_feature_count(me: MultiExitSpec, exit_index: int, site_id: str) -> int:
     """Width of the masked axis at a dropout site (channels for rank-3)."""
-    ex = me.exits[exit_index - 1]
-    shape = netspec.attach_shape(me, ex.attach_after)
-    for layer in ex.head_layers:
-        if layer.id == site_id:
-            return int(shape[0])
-        shape = netspec.output_shape(layer, shape)
+    for step in _table(me, me.trunk.input_shape).heads[exit_index - 1].steps:
+        if step.id == site_id:
+            return int(step.out_shape[0])  # a dropout point's shape is its input's
     raise ValueError(f"no dropout site {site_id!r} in exit {exit_index}")
 
 
 def site_mask_sets(me: MultiExitSpec) -> dict[str, MaskSet]:
     """Deterministic mask tables for every masksembles dropout site."""
-    cfg = me.dropout
-    if cfg is None or cfg.kind != "masksembles":
-        return {}
-    tables: dict[str, MaskSet] = {}
-    for exit_index, site_id in me.dropout_sites:
-        f = site_feature_count(me, exit_index, site_id)
-        tables[site_id] = generate_masks(f, cfg.num_masks, cfg.scale)
-    return tables
+    heads = _table(me, me.trunk.input_shape).heads
+    return {s.id: m for h in heads for s, m in zip(h.steps, h.masks) if m is not None}
 
 
 # Inputs run through the network this many at a time, which bounds the
@@ -138,34 +134,95 @@ def site_mask_sets(me: MultiExitSpec) -> dict[str, MaskSet]:
 BLOCK_INPUTS = 64
 
 
-def _grid_step(
-    kind: str, on_grid: bool, qformat: QFormat | None
-) -> tuple[QFormat | None, bool]:
-    """The qformat to run a layer of this kind with, given whether its
-    input is on the grid, and whether its output is."""
-    if qformat is None:
-        return None, False
-    if kind == "dropout_point":  # forward_batch runs it as an identity
-        return qformat, on_grid
-    if on_grid and kind in runtime.GRID_PRESERVING_KINDS:
-        return None, True
-    return qformat, kind != "softmax"
+def _grid_walk(kinds: list[str], on_grid: bool, sample_keeps_grid: bool | None) -> tuple:
+    """Follow a fixed-point datapath through layers of these kinds: per layer,
+    whether it runs with the qformat (a site: whether its sample is requantized)
+    and whether its output is on the grid. A site keeps an on-grid input on
+    the grid if sample_keeps_grid; None makes sites identities, as in a trunk."""
+    runs, grid = [], []
+    for kind in kinds:
+        if kind == "dropout_point":
+            run = sample_keeps_grid is not None and not (on_grid and sample_keeps_grid)
+            on_grid = on_grid or run
+        elif on_grid and kind in runtime.GRID_PRESERVING_KINDS:
+            run = False
+        else:
+            run, on_grid = True, kind != "softmax"
+        runs.append(run)
+        grid.append(on_grid)
+    return tuple(runs), tuple(grid)
 
 
-def _on_grid(me: MultiExitSpec, attach_after: str | None, qformat: QFormat | None) -> bool:
-    """Whether the trunk leaves its activation after attach_after (None is
-    the network input) on the grid of qformat."""
-    on_grid = False
-    if attach_after is not None and qformat is not None:
-        for layer in me.trunk.layers:
-            _, on_grid = _grid_step(layer.kind, on_grid, qformat)
-            if layer.id == attach_after:
-                break
-    return on_grid
+class _Head(NamedTuple):
+    """An exit head resolved for features of in_shape: its steps, each
+    masksembles site's mask table (else None), and _grid_walk's runs for
+    features [from the trunk or not, on a saturating format or not]."""
+
+    in_shape: tuple[int, ...]
+    steps: tuple[runtime.Step, ...]
+    masks: tuple[MaskSet | None, ...]
+    runs: dict[tuple[bool, bool], tuple[bool, ...]]
+
+
+class _Table(NamedTuple):
+    """A spec's step table for one input shape: the trunk's steps as deep
+    as the deepest attach point and their runs from _grid_walk, and each
+    exit's attach depth and head."""
+
+    trunk: tuple[runtime.Step, ...]
+    runs: tuple[bool, ...]
+    attach: tuple[int, ...]
+    heads: tuple[_Head, ...]
+
+
+def _chain(layers, shape: tuple[int, ...]) -> tuple[runtime.Step, ...]:
+    steps: list[runtime.Step] = []
+    for layer in layers:
+        steps.append(runtime.resolve(layer, shape))
+        shape = steps[-1].out_shape
+    return tuple(steps)
+
+
+def _resolve_head(me: MultiExitSpec, exit_index: int, shape: tuple, on_grid: bool = False) -> _Head:
+    cfg = me.dropout
+    masked = cfg is not None and cfg.kind == "masksembles"
+    steps = _chain(me.exits[exit_index - 1].head_layers, shape)
+    sites = [masked and s.kind == "dropout_point" for s in steps]
+    masks = tuple(
+        generate_masks(s.out_shape[0], cfg.num_masks, cfg.scale) if site else None
+        for s, site in zip(steps, sites)
+    )
+    # a 0/1 mask keeps grid values, but turns a negative one into -0.0,
+    # which wraparound requantizes to +0.0
+    kinds, tf = [s.kind for s in steps], (False, True)
+    runs = {(t, s): _grid_walk(kinds, t and on_grid, masked and s)[0] for t in tf for s in tf}
+    return _Head(shape, steps, masks, runs)
+
+
+def _resolve(me: MultiExitSpec, input_shape: tuple[int, ...]) -> _Table:
+    attach = tuple(netspec.attach_depth(me, ex.attach_after) for ex in me.exits)
+    trunk = _chain(me.trunk.layers[: max(attach) + 1], input_shape)
+    runs, on_grid = _grid_walk([s.kind for s in trunk], False, None)
+    shapes, on_grid = [input_shape, *(s.out_shape for s in trunk)], (False, *on_grid)
+    heads = [_resolve_head(me, k, shapes[a + 1], on_grid[a + 1]) for k, a in enumerate(attach, 1)]
+    return _Table(trunk, runs, attach, tuple(heads))
+
+
+def _table(me: MultiExitSpec, input_shape: tuple[int, ...]) -> _Table:
+    """me's step table for inputs of input_shape: its own input shape's is
+    resolved once and kept on the spec, unseen by equality, serialization
+    and replace; another's is resolved per call, raising as a misfit would."""
+    if input_shape != me.trunk.input_shape:
+        return _resolve(me, input_shape)
+    table = me.__dict__.get("_table")
+    if table is None:
+        table = _resolve(me, input_shape)
+        object.__setattr__(me, "_table", table)
+    return table
 
 
 def _trunk(
-    me: MultiExitSpec,
+    table: _Table,
     cached: CachedFeatures,
     depth: int,
     stop: int,
@@ -180,16 +237,12 @@ def _trunk(
     activation keeps the leading batch axis. Returns the depth reached."""
     if stop <= depth:
         return depth
-    layers = me.trunk.layers
-    wanted = {ex.attach_after for ex in me.exits}
-    start = layers[depth].id if depth >= 0 else None
-    x = cached[start]
-    on_grid = _on_grid(me, start, qformat)
-    for layer in layers[depth + 1 : stop + 1]:
-        q, on_grid = _grid_step(layer.kind, on_grid, qformat)
-        x = runtime.forward_batch(layer, x, weights, q, flop_counter)
-        if layer.id in wanted:
-            cached[layer.id] = x
+    x = cached[table.trunk[depth].id if depth >= 0 else None]
+    for i in range(depth + 1, stop + 1):
+        q = qformat if table.runs[i] else None
+        x = runtime.forward_batch(table.trunk[i], x, weights, q, flop_counter)
+        if i in table.attach:
+            cached[table.trunk[i].id] = x
     return stop
 
 
@@ -206,48 +259,9 @@ def run_trunk(
     activation at every exit attach point.
     """
     cached: CachedFeatures = {None: np.asarray(x, dtype=np.float32)[None]}
-    _trunk(me, cached, -1, netspec.deepest_attach(me), weights, qformat, flop_counter)
+    table = _table(me, cached[None].shape[1:])
+    _trunk(table, cached, -1, len(table.trunk) - 1, weights, qformat, flop_counter)
     return {ex.attach_after: cached[ex.attach_after][0] for ex in me.exits}
-
-
-def _head(
-    me: MultiExitSpec,
-    exit_index: int,
-    features: np.ndarray,
-    on_grid: bool,
-    seeds: list[int],
-    passes: list[int],
-    weights: WeightStore,
-    qformat: QFormat | None,
-    flop_counter: FlopCounter | None,
-) -> np.ndarray:
-    """Run one exit head on a batch of cached features, which are on the
-    grid of qformat if on_grid. Row r is pass passes[r] of the input
-    sampled with seeds[r]; returns one float64 probability vector per
-    row."""
-    cfg = me.dropout
-    x = features
-    for layer in me.exits[exit_index - 1].head_layers:
-        if layer.kind != "dropout_point":
-            q, on_grid = _grid_step(layer.kind, on_grid, qformat)
-            x = runtime.forward_batch(layer, x, weights, q, flop_counter)
-            continue
-        if cfg is None:
-            raise ValueError("spec has dropout sites but no dropout config")
-        if cfg.kind == "mcd":
-            keys = stream_keys(seeds, passes, layer.id)
-            x = mcd_forward_batch(x, cfg.keep_rate, cfg.granularity, keys, cfg.inverted)
-            on_grid = False
-        else:
-            masks = generate_masks(x.shape[1], cfg.num_masks, cfg.scale)
-            x = masksembles_forward_batch(x, passes, masks)
-            # a 0/1 mask keeps grid values, but turns a negative one into
-            # -0.0, which wraparound requantizes to +0.0
-            on_grid = on_grid and qformat.saturating
-        if qformat is not None and not on_grid:
-            x = runtime.quantize(x, qformat, in_place=True)  # the sampler's new array
-            on_grid = True
-    return np.asarray(x, dtype=np.float64)
 
 
 def _check_n_pass(me: MultiExitSpec, n_pass: int) -> None:
@@ -263,8 +277,8 @@ def _check_n_pass(me: MultiExitSpec, n_pass: int) -> None:
 
 def _exit_samples(
     me: MultiExitSpec,
-    cached: CachedFeatures,
-    exit_index: int,
+    head: _Head,
+    feature: np.ndarray,
     n_pass: int,
     seeds: list[int],
     weights: WeightStore,
@@ -272,24 +286,28 @@ def _exit_samples(
     flop_counter: FlopCounter | None,
     from_trunk: bool = True,
 ) -> np.ndarray:
-    """n_pass samples of one exit for every input of a batched cache, all
-    in one head batch: (inputs, n_pass, class_count). from_trunk says the
-    cache holds _trunk's activations on the datapath of qformat."""
-    attach_after = me.exits[exit_index - 1].attach_after
-    feature = cached[attach_after]
-    n = len(feature)
-    rows = _head(
-        me,
-        exit_index,
-        np.repeat(feature, n_pass, axis=0),
-        from_trunk and _on_grid(me, attach_after, qformat),
-        [s for s in seeds for _ in range(n_pass)],
-        list(range(n_pass)) * n,
-        weights,
-        qformat,
-        flop_counter,
-    )
-    return rows.reshape(n, n_pass, rows.shape[-1])
+    """n_pass samples of one exit head for each of a batch of features,
+    input i sampled with seeds[i], all in one head batch: (inputs, n_pass,
+    class_count) float64. from_trunk says the features are _trunk's on the
+    datapath of qformat."""
+    cfg = me.dropout
+    runs = head.runs[from_trunk, qformat is not None and qformat.saturating]
+    x = np.repeat(feature, n_pass, axis=0)  # row i * n_pass + p is pass p of input i
+    for step, mask, run in zip(head.steps, head.masks, runs):
+        if step.kind != "dropout_point":
+            x = runtime.forward_batch(step, x, weights, qformat if run else None, flop_counter)
+            continue
+        if cfg is None:
+            raise ValueError("spec has dropout sites but no dropout config")
+        if cfg.kind == "mcd":
+            rows = [s for s in seeds for _ in range(n_pass)]
+            keys = stream_keys(rows, list(range(n_pass)) * len(seeds), step.id)
+            x = mcd_forward_batch(x, cfg.keep_rate, cfg.granularity, keys, cfg.inverted)
+        else:  # _check_n_pass keeps every pass within the table
+            x = masksembles_passes(x, n_pass, mask)
+        if run and qformat is not None:
+            x = runtime.quantize(x, qformat, in_place=True)  # the sampler's new array
+    return np.asarray(x, dtype=np.float64).reshape(len(feature), n_pass, x.shape[-1])
 
 
 def run_exit_samples(
@@ -310,10 +328,13 @@ def run_exit_samples(
     ex = me.exits[exit_index - 1]
     if ex.attach_after not in cached:
         raise KeyError(f"no cached feature for attach point {ex.attach_after!r}")
-    one = {ex.attach_after: np.asarray(cached[ex.attach_after])[None]}
+    feature = np.asarray(cached[ex.attach_after])[None]
+    head = _table(me, me.trunk.input_shape).heads[exit_index - 1]
+    if feature.shape[1:] != head.in_shape:
+        head = _resolve_head(me, exit_index, feature.shape[1:])
     # a caller's cache may come from another datapath, so requantize it
     return _exit_samples(
-        me, one, exit_index, n_pass, [seed], weights, qformat, flop_counter, from_trunk=False
+        me, head, feature, n_pass, [seed], weights, qformat, flop_counter, from_trunk=False
     )[0]
 
 
@@ -330,12 +351,13 @@ def _samples(
     (inputs, n_exit, n_pass, class_count)."""
     _check_n_pass(me, n_pass)
     cached: CachedFeatures = {None: np.asarray(inputs, dtype=np.float32)}
-    _trunk(me, cached, -1, netspec.deepest_attach(me), weights, qformat, flop_counter)
+    table = _table(me, cached[None].shape[1:])
+    _trunk(table, cached, -1, len(table.trunk) - 1, weights, qformat, flop_counter)
     per_exit = [
-        _exit_samples(me, cached, k, n_pass, seeds, weights, qformat, flop_counter)
-        for k in range(1, me.n_exit + 1)
+        _exit_samples(me, h, cached[ex.attach_after], n_pass, seeds, weights, qformat, flop_counter)
+        for ex, h in zip(me.exits, table.heads)
     ]
-    return np.stack(per_exit, axis=1)
+    return np.concatenate([s[:, None] for s in per_exit], axis=1)
 
 
 def predict(
@@ -399,13 +421,14 @@ def _confidence_exits(
     _check_n_pass(me, n_pass)
     n = len(inputs)
     cached: CachedFeatures = {None: np.asarray(inputs, dtype=np.float32)}
+    table = _table(me, cached[None].shape[1:])
     depth = -1
     live: np.ndarray | None = None  # rows still undecided, once some have decided
     history: np.ndarray | None = None  # their samples so far, for ensemble_so_far
-    for k, ex in enumerate(me.exits, 1):
-        stop = netspec.attach_depth(me, ex.attach_after)
-        depth = _trunk(me, cached, depth, stop, weights, qformat, None)
-        samples = _exit_samples(me, cached, k, n_pass, seeds, weights, qformat, None)
+    for k, (ex, head, stop) in enumerate(zip(me.exits, table.heads, table.attach), 1):
+        depth = _trunk(table, cached, depth, stop, weights, qformat, None)
+        feature = cached[ex.attach_after]
+        samples = _exit_samples(me, head, feature, n_pass, seeds, weights, qformat, None)
         if mode == "ensemble_so_far":
             history = samples if history is None else np.concatenate([history, samples], axis=1)
             samples = history

@@ -1,12 +1,15 @@
 """Deterministic, batch-invariant tensor runtime.
 
-Executes layer chains on float32 arrays, one sample or a batch of
-samples at a time, optionally passing weights and activations through a
-saturating fixed-point quantizer to mimic a narrow hardware datapath.
-forward_batch quantizes whatever it runs with a qformat; it is the caller
-(the inference executor) that runs a layer of GRID_PRESERVING_KINDS
-without one when its input is already on the grid. Also owns weight
-initialization and the manifest-plus-blob weights file format.
+Executes layers on float32 arrays, a batch of samples at a time,
+optionally passing weights and activations through a saturating
+fixed-point quantizer to mimic a narrow hardware datapath. Every layer
+kind is one kernel; resolve binds a layer's kernel to its geometry for
+one input shape, once, in a Step, which a step table (see inference)
+keeps and forward_batch runs. forward_batch quantizes whatever it runs
+with a qformat; the inference executor runs a layer of
+GRID_PRESERVING_KINDS without one when its input is already on the grid.
+Also owns weight initialization and the manifest-plus-blob weights file
+format.
 
 Every weight store this module and the trainer return holds read-only
 arrays, and the fixed-point codes of a read-only weight array are worked
@@ -16,11 +19,12 @@ array is quantized again on every call, so its codes are never stale.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -144,6 +148,42 @@ class FlopCounter:
 # layer execution
 
 
+class Step(NamedTuple):
+    """A layer resolved for one input shape: the kernel that runs it on a
+    batch, its geometry bound, and its output shape, expected weight shape
+    (None without weights) and per-sample FLOPs. It holds no weights."""
+
+    id: str
+    kind: str
+    kernel: Callable[..., np.ndarray]
+    out_shape: tuple[int, ...]
+    weight_shape: tuple[int, ...] | None
+    flops: int
+
+
+def resolve(layer: LayerSpec, in_shape: tuple[int, ...]) -> Step:
+    """layer's Step for samples of in_shape; raises ShapeMismatchError
+    naming the layer when they do not fit."""
+    out_shape = netspec.output_shape(layer, in_shape)
+    kind, p = layer.kind, layer.params
+    weight_shape = _weight_shape(layer) if kind in netspec.LEARNABLE_KINDS else None
+    if kind == "dense":
+        kernel = lambda x, w, b: np.matmul(w, x[..., None])[..., 0] + b
+    elif kind == "conv2d":
+        kernel = functools.partial(_conv2d, stride=p["stride"], padding=p["padding"])
+    elif kind in netspec.POOL_KINDS:
+        kernel = _pool(layer, in_shape, out_shape)
+    elif kind == "relu":
+        kernel = lambda x: np.maximum(x, x.dtype.type(0))
+    elif kind == "softmax":
+        kernel = softmax
+    elif kind == "flatten":
+        kernel = lambda x: x.reshape(len(x), *out_shape)
+    else:  # dropout_point: an identity here, its sampling belongs to the caller
+        kernel = lambda x: x
+    return Step(layer.id, kind, kernel, out_shape, weight_shape, netspec.flops_of(layer, in_shape))
+
+
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """conv2d of a batch (B, C, H, W): one stacked matmul per kernel tap,
     the taps added in order into one accumulator.
@@ -160,7 +200,8 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: i
         x = padded
     hout = (h + 2 * padding - kh) // stride + 1
     wout = (wi + 2 * padding - kw) // stride + 1
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # taps[i, j] is w[:, :, i, j]
+    # taps[i, j] is w[:, :, i, j], a copy: a view of w would keep w alive
+    taps = _derived(w, "taps", lambda a: np.array(a.transpose(2, 3, 0, 1), order="C"))
     patch = np.empty((n, cin, hout, wout), dtype=x.dtype)
     cols = patch.reshape(n, cin, hout * wout)
     prod = np.empty((n, cout, hout * wout), dtype=np.result_type(w, x))
@@ -172,51 +213,50 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: i
     return acc.reshape(n, cout, hout, wout) + b[:, None, None]
 
 
-def _per_row(fn, x: np.ndarray, out_shape: tuple[int, ...]) -> np.ndarray:
-    """Apply a single-sample function to every row of a batch."""
-    rows = [fn(row) for row in x]
-    return np.array(rows) if rows else np.empty((0, *out_shape), dtype=x.dtype)
-
-
-def _pool(x: np.ndarray, layer: LayerSpec, out_shape: tuple[int, ...]) -> np.ndarray:
-    stride = layer.params["stride"]
-    win = netspec._pool_window(layer, x.shape[1:])
-    is_max = layer.kind == "max_pool"
-    if x.ndim == 2:
+def _pool(
+    layer: LayerSpec, in_shape: tuple[int, ...], out_shape: tuple[int, ...]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel of a pooling layer on samples of in_shape."""
+    stride, is_max = layer.params["stride"], layer.kind == "max_pool"
+    win = netspec._pool_window(layer, in_shape)
+    if len(in_shape) == 1:
         n = out_shape[0]
-        if stride != win[0]:
-            # numpy sums a gathered window of 8 taps or more pairwise for one
-            # row but one tap after another for a batch: add tap slices instead
-            return _reduce_taps([x[:, t : t + stride * n : stride] for t in range(win[0])], is_max)
-        windows = x[:, : n * stride].reshape(len(x), n, stride)
+        if stride == win[0]:
+            windows = lambda x: x[:, : n * stride].reshape(len(x), n, stride)
+            if is_max:
+                return lambda x: np.maximum.reduce(windows(x), axis=2)
+            return lambda x: np.add.reduce(windows(x), axis=2, dtype=x.dtype) / win[0]
+        # numpy sums a gathered window of 8 taps or more pairwise for one
+        # row but one tap after another for a batch: add tap slices instead
+        taps = [(..., slice(t, t + stride * n, stride)) for t in range(win[0])]
+        return lambda x: _reduce_taps([x[t] for t in taps], is_max)
+    (kh, kw), (hout, wout) = win, out_shape[1:]
+    if hout == wout == 1:  # one window per channel, as in a global pool
         if is_max:
-            return np.maximum.reduce(windows, axis=2)
-        return np.add.reduce(windows, axis=2, dtype=x.dtype) / win[0]
-    kh, kw = win
-    hout, wout = out_shape[1:]
-    if hout == wout == 1:
-        # one window per channel, as in a global pool: its taps stacked along
-        # a new leading axis with one copy, (taps, ..., C, 1, 1)
-
-        def stacked(a: np.ndarray) -> np.ndarray:
-            taps = np.moveaxis(a[..., :kh, :kw], (-2, -1), (0, 1))
-            return np.ascontiguousarray(taps).reshape(kh * kw, *a.shape[:-2], 1, 1)
-
-        if is_max:
-            return stacked(x).max(axis=0)
+            return lambda x: np.maximum.reduce(_stacked(x, kh, kw), axis=0)[..., None, None]
         if math.prod(out_shape) > 1:
             # numpy adds stacked taps one after another for every output
             # element, for one sample and for a batch alike
-            return stacked(x).mean(axis=0, dtype=x.dtype)
+            return lambda x: (
+                np.add.reduce(_stacked(x, kh, kw), axis=0, dtype=x.dtype) / x.dtype.type(kh * kw)
+            ).astype(x.dtype, copy=False)[..., None, None]
         # one output element per sample: numpy adds its taps pairwise, which
         # a batch would turn into one after another, so stay per sample
-        return _per_row(lambda a: stacked(a).mean(axis=0, dtype=a.dtype), x, out_shape)
-    views = [
-        x[..., i : i + stride * hout : stride, j : j + stride * wout : stride]
+        one = lambda a: _stacked(a, kh, kw).mean(axis=0, dtype=a.dtype).reshape(out_shape)
+        return lambda x: np.array([one(a) for a in x]).reshape(len(x), *out_shape).astype(x.dtype)
+    taps = [
+        (..., slice(i, i + stride * hout, stride), slice(j, j + stride * wout, stride))
         for i in range(kh)
         for j in range(kw)
     ]
-    return _reduce_taps(views, is_max)
+    return lambda x: _reduce_taps([x[t] for t in taps], is_max)
+
+
+def _stacked(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The taps of every channel's first kh x kw window, stacked along a
+    new leading axis with one copy: (taps, ..., C)."""
+    axes = (x.ndim - 2, x.ndim - 1, *range(x.ndim - 2))
+    return np.ascontiguousarray(x[..., :kh, :kw].transpose(axes)).reshape(kh * kw, *x.shape[:-2])
 
 
 def _reduce_taps(views: list[np.ndarray], is_max: bool) -> np.ndarray:
@@ -240,10 +280,10 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True, dtype=x.dtype)
 
 
-# The codes of read-only weight arrays: id(array) -> (weak reference to the
-# array, {format: codes}). An array's entry leaves when the array dies, so
-# it never outlives the array and a reused id never finds stale codes.
-_weight_codes: dict[int, tuple[weakref.ref, dict[QFormat, np.ndarray]]] = {}
+# Values worked out from read-only weight arrays: id(array) -> (weak ref
+# to it, {format: codes, "taps": conv2d's tap-major copy}). An entry leaves
+# when its array dies, so a reused id never finds stale values.
+_weight_codes: dict[int, tuple[weakref.ref, dict[Any, np.ndarray]]] = {}
 
 
 def _unchanging(a: np.ndarray) -> bool:
@@ -257,57 +297,58 @@ def _unchanging(a: np.ndarray) -> bool:
     return a is None
 
 
-def _codes(a: np.ndarray, q: QFormat) -> np.ndarray:
-    """quantize(a, q), worked out once per format for an unchanging array
-    and on every call for any other, whose values may have changed."""
+def _derived(a: np.ndarray, what: Any, make: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """make(a), a new array, worked out once per what for an unchanging
+    array and on every call for any other, whose values may have changed."""
     if not _unchanging(a):
-        return quantize(a, q)
+        return make(a)
     key = id(a)
     entry = _weight_codes.get(key)
     if entry is None or entry[0]() is not a:
         entry = (weakref.ref(a, lambda _, key=key: _weight_codes.pop(key, None)), {})
         _weight_codes[key] = entry
-    codes = entry[1].get(q)
-    if codes is None:
-        codes = entry[1][q] = quantize(a, q)
-        codes.flags.writeable = False  # every call with a and q shares it
-    return codes
+    out = entry[1].get(what)
+    if out is None:
+        out = entry[1][what] = make(a)
+        out.flags.writeable = False  # every call with a shares it
+    return out
 
 
 def _layer_params(
-    layer: LayerSpec, weights: WeightStore | None, qformat: QFormat | None
+    step: Step, weights: WeightStore | None, qformat: QFormat | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """A learnable layer's weights and bias, as fixed-point codes with a
     qformat: read-only arrays are quantized once per format, a caller's
     writable ones on every call."""
-    if weights is None or layer.id not in weights:
-        raise KeyError(f"no weights for layer {layer.id!r}")
-    w = weights[layer.id]["weights"]
-    b = weights[layer.id]["bias"]
-    if w.shape != _weight_shape(layer):
+    if weights is None or step.id not in weights:
+        raise KeyError(f"no weights for layer {step.id!r}")
+    w = weights[step.id]["weights"]
+    b = weights[step.id]["bias"]
+    if w.shape != step.weight_shape:
         raise ShapeMismatchError(
-            f"layer {layer.id!r}: weight shape {w.shape} does not match params"
+            f"layer {step.id!r}: weight shape {w.shape} does not match params"
         )
     if qformat is not None:
-        w = _codes(w, qformat)
-        b = _codes(b, qformat)
+        w = _derived(w, qformat, functools.partial(quantize, q=qformat))
+        b = _derived(b, qformat, functools.partial(quantize, q=qformat))
     return w, b
 
 
 def forward_batch(
-    layer: LayerSpec,
+    layer: LayerSpec | Step,
     x: np.ndarray,
     weights: WeightStore | None = None,
     qformat: QFormat | None = None,
     flop_counter: FlopCounter | None = None,
 ) -> np.ndarray:
-    """Run one layer on a stack of samples along a leading batch axis.
+    """Run one layer on a stack of samples along a leading batch axis:
+    a LayerSpec is resolved for the samples of x, a Step runs as it is.
 
     Batch invariant: every output row is bit-identical to running that
     row alone, whatever it is batched with. Dense layers therefore run as
     one gemv per row (a stacked matmul) and never as one gemm over the
     batch, whose blocking changes the summation order with the batch
-    size. conv2d loops over the rows.
+    size; conv2d runs one stacked matmul per kernel tap (see _conv2d).
 
     With a qformat, the weights are used as fixed-point codes, which a
     read-only weight array has worked out once per format (see
@@ -317,31 +358,19 @@ def forward_batch(
     identity here; their stochastic realization belongs to the caller. A
     flop_counter is charged the per-sample FLOPs per row.
     """
-    x = np.asarray(x)
-    out_shape = netspec.output_shape(layer, x.shape[1:])  # shape check, raises with layer id
+    if not isinstance(layer, Step):
+        x = np.asarray(x)
+        layer = resolve(layer, x.shape[1:])  # shape check, raises with layer id
     if flop_counter is not None:
-        flop_counter.add(len(x) * netspec.flops_of(layer, x.shape[1:]))
-    kind = layer.kind
-    if kind == "dense":
-        w, b = _layer_params(layer, weights, qformat)
-        out = np.matmul(w, x[..., None])[..., 0] + b
-    elif kind == "conv2d":
-        w, b = _layer_params(layer, weights, qformat)
-        out = _conv2d(x, w, b, layer.params["stride"], layer.params["padding"])
-    elif kind in ("max_pool", "avg_pool"):
-        out = _pool(x, layer, out_shape)
-    elif kind == "relu":
-        out = np.maximum(x, x.dtype.type(0))
-    elif kind == "softmax":
-        return softmax(x)
-    elif kind == "flatten":
-        out = x.reshape(len(x), *out_shape)
-    else:  # dropout_point
-        out = x
-    if qformat is not None and kind != "dropout_point":
-        # out is new, but flatten's is a view of x
-        out = quantize(out, qformat, in_place=kind != "flatten")
-    return out
+        flop_counter.add(len(x) * layer.flops)
+    if layer.weight_shape is None:
+        out = layer.kernel(x)
+    else:
+        out = layer.kernel(x, *_layer_params(layer, weights, qformat))
+    if qformat is None or layer.kind in ("softmax", "dropout_point"):
+        return out
+    # out is new, but flatten's is a view of x
+    return quantize(out, qformat, in_place=layer.kind != "flatten")
 
 
 def forward(
@@ -354,18 +383,6 @@ def forward(
     """Run one layer on a single unbatched sample: the batch-of-1 case
     of forward_batch."""
     return forward_batch(layer, np.asarray(x)[None], weights, qformat, flop_counter)[0]
-
-
-def run_layers(
-    layers: Iterable[LayerSpec],
-    x: np.ndarray,
-    weights: WeightStore | None = None,
-    qformat: QFormat | None = None,
-    flop_counter: FlopCounter | None = None,
-) -> np.ndarray:
-    for layer in layers:
-        x = forward(layer, x, weights, qformat, flop_counter)
-    return x
 
 
 # --------------------------------------------------------------------------

@@ -571,10 +571,10 @@ class TestGroupedTraining:
             else:
                 assert all(r.ok for r in narrowed), [r.error for r in narrowed]
 
-    def test_a_failed_group_gives_each_point_its_own_error(self):
-        """Labels beyond the network's classes fail the whole group, and
-        each point records the bad label its own shuffle meets first, as
-        it does alone."""
+    def test_labels_past_the_class_count_fail_every_point_with_one_error(self, monkeypatch):
+        """Labels beyond the network's classes give every point, grouped or
+        alone, the one error that names them, from one check of the whole
+        dataset per class count, and nothing trains."""
         net = netspec.parse_network(mlp_doc())
         data = datasets.make_blobs(count=40, classes=5, dim=16, seed=8)
         hw = default_hardware_model()
@@ -586,16 +586,21 @@ class TestGroupedTraining:
             explorer.evaluate_design_point(dp, net, data, 4, hw, settings_, seed=7)
             for dp in explorer.enumerate_design_points(grids)
         ]
+        checks = []
+        original = explorer.label_error
+        monkeypatch.setattr(
+            explorer, "label_error", lambda d, c: checks.append((d is data, c)) or original(d, c)
+        )
+        monkeypatch.setattr(train, "train_models", None)  # nothing may train
         outcome = explorer.explore(
             net, grids, Constraints(min_accuracy=0.0), Priority(metrics=("accuracy",)),
             data, hw, settings_, seed=7, noise_count=4,
         )
+        assert checks == [(True, 3)]  # the whole dataset, once
         assert explorer.results_to_rows(outcome.results) == explorer.results_to_rows(alone)
-        assert [r.error for r in alone] == [
-            "IndexError: index 4 is out of bounds for axis 0 with size 3",
-            "IndexError: index 3 is out of bounds for axis 0 with size 3",
-            "IndexError: index 4 is out of bounds for axis 0 with size 3",
-        ]
+        error = "ValueError: dataset labels 3, 4 lie outside the 3 classes 0..2 of the spec"
+        assert [r.error for r in outcome.results] == [error] * 3
+        assert [r.error for r in alone] == [error] * 3
 
 
 def test_explore_builds_each_point_spec_and_the_split_once(monkeypatch):

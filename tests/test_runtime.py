@@ -394,7 +394,8 @@ class TestWeightStore:
             layer({"id": "fc", "kind": "dense", "params": {"in_features": 5, "out_features": 4}}),
             layer({"id": "sm", "kind": "softmax"}),
         ]
-        out = runtime.run_layers(layers, np.ones(5, np.float32), runtime.zero_weights(layers))
+        weights = runtime.zero_weights(layers)
+        out = runtime.forward(layers[1], runtime.forward(layers[0], np.ones(5, np.float32), weights))
         np.testing.assert_allclose(out, np.full(4, 0.25, np.float32), atol=1e-7)
 
     def test_16_bit_near_lossless_on_activations(self):
@@ -448,18 +449,19 @@ class TestWeightCodes:
         lay, store = wide_store(doc, 1)
         x = batch_for(lay, 2)
         per_call = {q: runtime.forward_batch(lay, x, writable(store), q) for q in CODE_FORMATS}
+        step = runtime.resolve(lay, x.shape[1:])
         # every format on one store: the first round works the codes out,
         # the second reuses them
         for _ in range(2):
             for q in CODE_FORMATS:
-                w, b = runtime._layer_params(lay, store, q)
+                w, b = runtime._layer_params(step, store, q)
                 for codes, name in ((w, "weights"), (b, "bias")):
                     ref = quantize(store[lay.id][name], q)
                     assert np.array_equal(codes.view(np.uint32), ref.view(np.uint32)), (q, name)
                     assert not codes.flags.writeable
                 out = runtime.forward_batch(lay, x, store, q)
                 assert np.array_equal(out.view(np.uint32), per_call[q].view(np.uint32)), q
-        assert runtime._layer_params(lay, store, q)[0] is w
+        assert runtime._layer_params(step, store, q)[0] is w
 
     def test_a_replaced_array_gives_its_own_codes(self):
         lay, store = wide_store(DENSE, 1)

@@ -141,12 +141,10 @@ class TestTrainToy:
         me = netspec.place_exits(net)
         me = netspec.insert_dropout(me, DropoutConfig(kind="mcd", keep_rate=0.875, seed=0), 1)
         weights = train.train_toy(me, data, train.TrainConfig(lr=0.3, epochs=200, batch=32, seed=0))
-        path = list(me.trunk.layers) + list(me.exits[-1].head_layers)
-        hits = sum(
-            int(np.argmax(runtime.run_layers(path, x, weights)) == y)
-            for x, y in zip(data.features, data.labels)
-        )
-        assert hits / len(data) >= 0.95
+        out = data.features
+        for layer in [*me.trunk.layers, *me.exits[-1].head_layers]:
+            out = runtime.forward_batch(layer, out, weights)
+        assert np.count_nonzero(np.argmax(out, axis=1) == data.labels) / len(data) >= 0.95
 
     def test_masksembles_trains(self, blob_split):
         tr, _ = blob_split

@@ -1,6 +1,13 @@
 """Stochastic layers used at the exits: Monte-Carlo dropout and fixed
 pre-generated binary masks, plus the counter-based random streams that
 make sampling order-independent and reproducible.
+
+Each (seed, pass, site) triple owns a Philox stream keyed by stream_key,
+the blake2b-128 digest of "seed|pass|site". A Monte-Carlo call hashes
+each input seed's "seed|" prefix once (stream_prefixes), a site keeps
+its "pass|site" suffixes (stream_suffixes), and site_uniforms fills all
+of a site's rows in one loop: per row it finishes the key on a copy of
+the prefix and re-keys the calling thread's one Philox generator.
 """
 
 from __future__ import annotations
@@ -8,9 +15,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -111,28 +119,22 @@ def stream_key(seed: int, sample_index: int, layer_id: str) -> int:
 
 
 def stream_keys(seeds: Sequence[int], passes: Sequence[int], layer_id: str) -> list[int]:
-    """stream_key(seeds[r], passes[r], layer_id) for every row r.
-
-    blake2b reads its input as a stream, so each distinct seed's "seed|"
-    prefix is hashed once and that state copied for every row, and each
-    distinct "pass|layer_id" suffix is encoded once.
-    """
+    """stream_key(seeds[r], passes[r], layer_id) for every row r."""
     if len(seeds) != len(passes):
         raise ValueError(f"{len(seeds)} seeds for {len(passes)} passes")
-    heads: dict[Any, Any] = {}
-    tails: dict[Any, bytes] = {}
-    keys = []
-    for seed, sample_index in zip(seeds, passes):
-        head = heads.get(seed)
-        if head is None:
-            head = heads[seed] = hashlib.blake2b(f"{int(seed)}|".encode(), digest_size=16)
-        tail = tails.get(sample_index)
-        if tail is None:
-            tail = tails[sample_index] = f"{int(sample_index)}|{layer_id}".encode()
-        h = head.copy()
-        h.update(tail)
-        keys.append(int.from_bytes(h.digest(), "little"))
-    return keys
+    return [stream_key(seed, sample_index, layer_id) for seed, sample_index in zip(seeds, passes)]
+
+
+def stream_prefixes(seeds: Sequence[int]) -> list[Any]:
+    """Each seed's blake2b-128 state after "seed|", the start of stream_key's
+    input that all the seed's streams share: a copy of it that goes on to
+    read a stream_suffixes text digests to that stream's key."""
+    return [hashlib.blake2b(f"{int(seed)}|".encode(), digest_size=16) for seed in seeds]
+
+
+def stream_suffixes(n_pass: int, layer_id: str) -> tuple[bytes, ...]:
+    """The rest of stream_key's input, "pass|layer_id", for passes 0..n_pass-1."""
+    return tuple(f"{p}|{layer_id}".encode() for p in range(n_pass))
 
 
 class RngStream:
@@ -168,61 +170,78 @@ _WORD = (1 << 64) - 1
 
 
 _THREAD = threading.local()
+_KEY_WORDS = struct.Struct("<QQ")  # a 16-byte stream_key digest as Philox's two key words
 
 
-def _rekeyer() -> Callable[[int], np.random.Generator]:
-    """This thread's re-keying function, built on the thread's first draw.
+def _philox() -> tuple[np.random.Philox, np.random.Generator, dict[str, Any]]:
+    """This thread's Philox bit generator, a Generator on it and the state
+    that re-keys it, built on the thread's first draw.
 
     One Philox generator per thread is re-keyed through the public state
     setter. That skips the OS-entropy SeedSequence every new Philox draws
     (13-16 us each), and no generator state is shared across threads. The
-    state is a fresh Philox's, held in plain lists, which the setter reads
-    faster than arrays: counter and buffer at zero, the buffer empty
-    (buffer_pos 4) and no uint32 half left over. Only the two key words
-    change between streams.
+    state is a fresh Philox's, held in plain lists and tuples, which the
+    setter reads faster than arrays: counter and buffer at zero, the buffer
+    empty (buffer_pos 4) and no uint32 half left over. Only the two key
+    words, state["state"]["key"], change between streams.
     """
     try:
-        return _THREAD.rekey
+        return _THREAD.philox
     except AttributeError:
         pass
     bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    words = [0, 0]
     fresh = {
         "bit_generator": "Philox",
-        "state": {"counter": [0] * 4, "key": words},
+        "state": {"counter": [0] * 4, "key": (0, 0)},
         "buffer": [0] * 4,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-    def rekey(key: int) -> np.random.Generator:
-        words[0], words[1] = key & _WORD, key >> 64
-        bitgen.state = fresh
-        return gen
-
-    _THREAD.rekey = rekey
-    return rekey
+    _THREAD.philox = bitgen, np.random.Generator(bitgen), fresh
+    return _THREAD.philox
 
 
 def keyed_generator(key: int) -> np.random.Generator:
     """This thread's generator at the start of the stream with Philox key
     `key`: the bits of np.random.Generator(np.random.Philox(key=key)). It
-    is valid until the thread's next keyed_generator or stream_uniforms
-    call."""
-    return _rekeyer()(key)
+    is valid until the thread's next draw through this module."""
+    bitgen, gen, fresh = _philox()
+    fresh["state"]["key"] = (key & _WORD, key >> 64)
+    bitgen.state = fresh
+    return gen
 
 
 def stream_uniforms(keys: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
     """Row r holds the first uniforms of the stream with Philox key
     keys[r], bit for bit what RngStream(...).uniform(shape) returns for
-    the triple that stream_key maps to keys[r]. Every row re-keys the
-    thread's one generator (see keyed_generator)."""
-    rekey = _rekeyer()
+    the triple that stream_key maps to keys[r]."""
     out = np.empty((len(keys), *shape))
     for row, key in zip(out, keys):
-        rekey(key).random(out=row)
+        keyed_generator(key).random(out=row)
+    return out
+
+
+def site_uniforms(
+    prefixes: Sequence[Any], suffixes: Sequence[bytes], shape: tuple[int, ...]
+) -> np.ndarray:
+    """One dropout site's uniforms, rows input-major: row i * len(suffixes)
+    + p holds the first uniforms of the stream keyed by the digest of
+    prefixes[i] after it reads suffixes[p], which for stream_prefixes(seeds)
+    and stream_suffixes(n_pass, layer_id) is RngStream(seeds[i], p,
+    layer_id). One loop derives each key and re-keys the thread's
+    generator in place, with no Python call per row."""
+    bitgen, gen, fresh = _philox()
+    state, random, words = fresh["state"], gen.random, _KEY_WORDS.unpack
+    out = np.empty((len(prefixes) * len(suffixes), *shape))
+    rows = iter(out)
+    for prefix in prefixes:
+        for suffix in suffixes:
+            h = prefix.copy()
+            h.update(suffix)
+            state["key"] = words(h.digest())
+            bitgen.state = fresh
+            random(out=next(rows))
     return out
 
 
@@ -281,6 +300,20 @@ def mcd_forward_batch(
     if len(keys) != len(x):
         raise ValueError(f"{len(keys)} stream keys for {len(x)} rows")
     u = stream_uniforms(keys, _draw_shape(x.shape[1:], granularity))
+    return _drop(x, u, keep_rate, inverted)
+
+
+def mcd_passes(
+    x: np.ndarray,
+    keep_rate: float,
+    granularity: str,
+    prefixes: Sequence[Any],
+    suffixes: Sequence[bytes],
+    inverted: bool = False,
+) -> np.ndarray:
+    """mcd_forward_batch of input-major rows, row i * len(suffixes) + p
+    drawn from the stream that site_uniforms gives it."""
+    u = site_uniforms(prefixes, suffixes, _draw_shape(x.shape[1:], granularity))
     return _drop(x, u, keep_rate, inverted)
 
 

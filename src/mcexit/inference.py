@@ -7,12 +7,16 @@ exit advances the trunk exit by exit, so it runs only as deep as each
 input goes. All inputs x passes of a head run as one batch through the
 batch-invariant runtime. Random draws come from counter-based streams
 keyed by (seed, pass, layer id), so results do not depend on evaluation
-order or on batching.
+order or on batching. A call hashes each input seed's key prefix once
+for all its MC-dropout sites (dropout.stream_prefixes). Every head stops
+before its terminal softmax: predict and the dataset calls run one
+softmax over all exits' logits, early exit one per exit it decides at.
 
 A spec's step table (_table), resolved on its first call and kept on the
 spec, holds everything that depends on the spec alone: each layer's
-runtime.Step, attach depths, grid flags and mask tables. A call checks
-its input shape against it and then runs only the kernels.
+runtime.Step, attach depths, grid flags, mask tables and each MC-dropout
+site's key suffixes. A call checks its input shape against it and then
+runs only the kernels.
 
 On a fixed-point datapath each value is quantized once, where it leaves
 the grid: the executor tracks whether the current activation is on the
@@ -41,8 +45,9 @@ from .dropout import (
     derive_seed,
     generate_masks,
     masksembles_passes,
-    mcd_forward_batch,
-    stream_keys,
+    mcd_passes,
+    stream_prefixes,
+    stream_suffixes,
 )
 from .netspec import MultiExitSpec
 from .runtime import FlopCounter, QFormat, WeightStore
@@ -155,12 +160,15 @@ def _grid_walk(kinds: list[str], on_grid: bool, sample_keeps_grid: bool | None) 
 
 class _Head(NamedTuple):
     """An exit head resolved for features of in_shape: its steps, each
-    masksembles site's mask table (else None), and _grid_walk's runs for
-    features [from the trunk or not, on a saturating format or not]."""
+    masksembles site's mask table (else None), each MC-dropout site's
+    stream_suffixes by n_pass, filled as calls need them (else None), and
+    _grid_walk's runs for features [from the trunk or not, on a saturating
+    format or not]."""
 
     in_shape: tuple[int, ...]
     steps: tuple[runtime.Step, ...]
     masks: tuple[MaskSet | None, ...]
+    suffixes: tuple[dict[int, tuple[bytes, ...]] | None, ...]
     runs: dict[tuple[bool, bool], tuple[bool, ...]]
 
 
@@ -187,16 +195,20 @@ def _resolve_head(me: MultiExitSpec, exit_index: int, shape: tuple, on_grid: boo
     cfg = me.dropout
     masked = cfg is not None and cfg.kind == "masksembles"
     steps = _chain(me.exits[exit_index - 1].head_layers, shape)
+    if not steps or steps[-1].kind != "softmax":  # a spec built without netspec.validate
+        raise ValueError(f"exit {exit_index} head must end in softmax")
     sites = [masked and s.kind == "dropout_point" for s in steps]
     masks = tuple(
         generate_masks(s.out_shape[0], cfg.num_masks, cfg.scale) if site else None
         for s, site in zip(steps, sites)
     )
+    drawn = cfg is not None and cfg.kind == "mcd"
+    suffixes = tuple({} if drawn and s.kind == "dropout_point" else None for s in steps)
     # a 0/1 mask keeps grid values, but turns a negative one into -0.0,
     # which wraparound requantizes to +0.0
     kinds, tf = [s.kind for s in steps], (False, True)
     runs = {(t, s): _grid_walk(kinds, t and on_grid, masked and s)[0] for t in tf for s in tf}
-    return _Head(shape, steps, masks, runs)
+    return _Head(shape, steps, masks, suffixes, runs)
 
 
 def _resolve(me: MultiExitSpec, input_shape: tuple[int, ...]) -> _Table:
@@ -275,39 +287,54 @@ def _check_n_pass(me: MultiExitSpec, n_pass: int) -> None:
         )
 
 
-def _exit_samples(
+def _prefixes(me: MultiExitSpec, seeds: list[int]) -> list:
+    """The stream_prefixes of the inputs' seeds that every MC-dropout site
+    of a call shares; a spec without MC dropout draws no keys."""
+    cfg = me.dropout
+    return stream_prefixes(seeds) if cfg is not None and cfg.kind == "mcd" else []
+
+
+def _logits(
     me: MultiExitSpec,
     head: _Head,
     feature: np.ndarray,
     n_pass: int,
-    seeds: list[int],
+    prefixes: list,
     weights: WeightStore,
     qformat: QFormat | None,
     flop_counter: FlopCounter | None,
     from_trunk: bool = True,
 ) -> np.ndarray:
-    """n_pass samples of one exit head for each of a batch of features,
-    input i sampled with seeds[i], all in one head batch: (inputs, n_pass,
-    class_count) float64. from_trunk says the features are _trunk's on the
-    datapath of qformat."""
+    """n_pass samples of one exit head for each of a batch of features, all
+    in one head batch, up to the head's terminal softmax (which netspec
+    requires): (inputs * n_pass, class_count), row i * n_pass + p pass p of
+    input i, drawn with prefixes[i]. from_trunk says the features are
+    _trunk's on the datapath of qformat."""
     cfg = me.dropout
     runs = head.runs[from_trunk, qformat is not None and qformat.saturating]
-    x = np.repeat(feature, n_pass, axis=0)  # row i * n_pass + p is pass p of input i
-    for step, mask, run in zip(head.steps, head.masks, runs):
+    x = np.repeat(feature, n_pass, axis=0)
+    for step, mask, tails, run in zip(head.steps[:-1], head.masks, head.suffixes, runs):
         if step.kind != "dropout_point":
             x = runtime.forward_batch(step, x, weights, qformat if run else None, flop_counter)
             continue
         if cfg is None:
             raise ValueError("spec has dropout sites but no dropout config")
         if cfg.kind == "mcd":
-            rows = [s for s in seeds for _ in range(n_pass)]
-            keys = stream_keys(rows, list(range(n_pass)) * len(seeds), step.id)
-            x = mcd_forward_batch(x, cfg.keep_rate, cfg.granularity, keys, cfg.inverted)
+            suffixes = tails.get(n_pass)
+            if suffixes is None:  # threads that race here store equal tuples
+                suffixes = tails[n_pass] = stream_suffixes(n_pass, step.id)
+            x = mcd_passes(x, cfg.keep_rate, cfg.granularity, prefixes, suffixes, cfg.inverted)
         else:  # _check_n_pass keeps every pass within the table
             x = masksembles_passes(x, n_pass, mask)
         if run and qformat is not None:
             x = runtime.quantize(x, qformat, in_place=True)  # the sampler's new array
-    return np.asarray(x, dtype=np.float64).reshape(len(feature), n_pass, x.shape[-1])
+    return x
+
+
+def _probabilities(logits: np.ndarray) -> np.ndarray:
+    """The terminal softmax of logits, which a fixed-point datapath leaves
+    unquantized, as float64."""
+    return np.asarray(runtime.softmax(logits), dtype=np.float64)
 
 
 def run_exit_samples(
@@ -333,9 +360,10 @@ def run_exit_samples(
     if feature.shape[1:] != head.in_shape:
         head = _resolve_head(me, exit_index, feature.shape[1:])
     # a caller's cache may come from another datapath, so requantize it
-    return _exit_samples(
-        me, head, feature, n_pass, [seed], weights, qformat, flop_counter, from_trunk=False
-    )[0]
+    x = _logits(
+        me, head, feature, n_pass, _prefixes(me, [seed]), weights, qformat, flop_counter, False
+    )
+    return _probabilities(x)
 
 
 def _samples(
@@ -348,16 +376,19 @@ def _samples(
     flop_counter: FlopCounter | None = None,
 ) -> np.ndarray:
     """Every exit's n_pass samples for a batch of inputs:
-    (inputs, n_exit, n_pass, class_count)."""
+    (inputs, n_exit, n_pass, class_count), all exits' logits through one
+    softmax."""
     _check_n_pass(me, n_pass)
     cached: CachedFeatures = {None: np.asarray(inputs, dtype=np.float32)}
     table = _table(me, cached[None].shape[1:])
     _trunk(table, cached, -1, len(table.trunk) - 1, weights, qformat, flop_counter)
-    per_exit = [
-        _exit_samples(me, h, cached[ex.attach_after], n_pass, seeds, weights, qformat, flop_counter)
+    prefixes = _prefixes(me, seeds)
+    logits = [
+        _logits(me, h, cached[ex.attach_after], n_pass, prefixes, weights, qformat, flop_counter)
         for ex, h in zip(me.exits, table.heads)
     ]
-    return np.concatenate([s[:, None] for s in per_exit], axis=1)
+    shape = (len(inputs), n_pass, logits[0].shape[-1])
+    return _probabilities(np.stack([x.reshape(shape) for x in logits], axis=1))
 
 
 def predict(
@@ -422,13 +453,15 @@ def _confidence_exits(
     n = len(inputs)
     cached: CachedFeatures = {None: np.asarray(inputs, dtype=np.float32)}
     table = _table(me, cached[None].shape[1:])
+    prefixes = _prefixes(me, seeds)
     depth = -1
     live: np.ndarray | None = None  # rows still undecided, once some have decided
     history: np.ndarray | None = None  # their samples so far, for ensemble_so_far
     for k, (ex, head, stop) in enumerate(zip(me.exits, table.heads, table.attach), 1):
         depth = _trunk(table, cached, depth, stop, weights, qformat, None)
         feature = cached[ex.attach_after]
-        samples = _exit_samples(me, head, feature, n_pass, seeds, weights, qformat, None)
+        x = _logits(me, head, feature, n_pass, prefixes, weights, qformat, None)
+        samples = _probabilities(x).reshape(len(feature), n_pass, x.shape[-1])
         if mode == "ensemble_so_far":
             history = samples if history is None else np.concatenate([history, samples], axis=1)
             samples = history
@@ -456,7 +489,7 @@ def _confidence_exits(
             break
         keep = ~done
         live = live[keep]
-        seeds = [s for s, kept in zip(seeds, keep) if kept]
+        prefixes = [h for h, kept in zip(prefixes, keep) if kept]
         # later exits read only the activation at depth, this exit's feature
         cached = {ex.attach_after: cached[ex.attach_after][keep]}
         if history is not None:

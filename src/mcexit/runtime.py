@@ -305,7 +305,10 @@ def _derived(a: np.ndarray, what: Any, make: Callable[[np.ndarray], np.ndarray])
     key = id(a)
     entry = _weight_codes.get(key)
     if entry is None or entry[0]() is not a:
-        entry = (weakref.ref(a, lambda _, key=key: _weight_codes.pop(key, None)), {})
+        # the callback holds the dict itself: interpreter shutdown sets the
+        # module global to None before it frees the arrays still alive
+        forget = lambda _, key=key, codes=_weight_codes: codes.pop(key, None)
+        entry = (weakref.ref(a, forget), {})
         _weight_codes[key] = entry
     out = entry[1].get(what)
     if out is None:

@@ -16,8 +16,12 @@ from mcexit.dropout import (
     keyed_generator,
     masksembles_forward,
     mcd_forward,
+    mcd_passes,
+    site_uniforms,
     stream_key,
     stream_keys,
+    stream_prefixes,
+    stream_suffixes,
     stream_uniforms,
 )
 
@@ -186,6 +190,47 @@ class TestKeyedGenerators:
             assert len(results[who]) == 40
             for out in results[who]:
                 np.testing.assert_array_equal(out, expected[order])
+
+
+class TestSiteUniforms:
+    # negative and full 64-bit seeds, repeated and mixed with numpy integers
+    SEEDS = [-3, 2**64 - 1, 7, -3, np.int64(7), 2**63, -(2**63), 0]
+    SITES = ("exit1/drop0", "exit2/drop1", "sortie-é/drop0", "出口/drop0")
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 1, 1), (2, 3, 2)])
+    def test_rows_are_the_streams_of_each_seed_and_pass(self, shape):
+        for site in self.SITES:
+            u = site_uniforms(stream_prefixes(self.SEEDS), stream_suffixes(3, site), shape)
+            assert u.shape == (len(self.SEEDS) * 3, *shape)
+            for i, seed in enumerate(self.SEEDS):
+                for p in range(3):
+                    expected = RngStream(seed, p, site).uniform(shape)
+                    assert u[i * 3 + p].tobytes() == expected.tobytes(), (site, seed, p)
+
+    def test_prefixes_serve_every_site(self):
+        prefixes = stream_prefixes(self.SEEDS)
+        first = site_uniforms(prefixes, stream_suffixes(2, "exit1/drop0"), (4,))
+        site_uniforms(prefixes, stream_suffixes(5, "exit2/drop0"), (7,))
+        again = site_uniforms(prefixes, stream_suffixes(2, "exit1/drop0"), (4,))
+        assert again.tobytes() == first.tobytes()
+
+    def test_no_rows(self):
+        assert site_uniforms([], stream_suffixes(4, "s"), (3, 1, 1)).shape == (0, 3, 1, 1)
+
+    @pytest.mark.parametrize("inverted", [False, True])
+    @pytest.mark.parametrize("granularity", ["element", "channel"])
+    @pytest.mark.parametrize("shape", [(12,), (4, 3, 3)])
+    def test_mcd_passes_match_single_draws(self, shape, granularity, inverted):
+        seeds, n_pass = [0, 7, 2**63 + 5], 3
+        x = np.random.Generator(np.random.Philox(key=1)).standard_normal((9, *shape))
+        x = x.astype(np.float32)
+        prefixes, suffixes = stream_prefixes(seeds), stream_suffixes(n_pass, "site")
+        out = mcd_passes(x, 0.5, granularity, prefixes, suffixes, inverted)
+        assert out.dtype == np.float32
+        for r, (row, sample) in enumerate(zip(out, x)):
+            stream = RngStream(seeds[r // n_pass], r % n_pass, "site")
+            expected = mcd_forward(sample, 0.5, granularity, stream, inverted)
+            assert row.tobytes() == expected.tobytes()
 
 
 class TestMcdForward:

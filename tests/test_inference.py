@@ -1,5 +1,10 @@
+import dataclasses
+import hashlib
 import json
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_masksembles_spec, build_mcd_spec, lenet_doc, mlp_doc, rng
-from mcexit import inference, metrics, netspec, runtime
+from mcexit import dropout, inference, metrics, netspec, runtime
 from mcexit.dropout import (
     DropoutConfig,
     RngStream,
@@ -544,3 +549,172 @@ class TestDatasetHelpers:
             # the inputs that no exit before k answered, once each
             k = next(k for k, a in enumerate(attach, 1) if a >= depth)
             assert rows[layer.id] == np.count_nonzero(taken >= k), layer.id
+
+
+def four_exit_mlp() -> dict:
+    """An MLP with three dense/relu/pool stages and then a dense/relu stage
+    before its classifier, so exit placement finds four exits."""
+    layers = []
+    width = 16
+    for s in range(1, 4):
+        layers += [
+            {"id": f"d{s}", "kind": "dense", "params": {"in_features": width, "out_features": 24}},
+            {"id": f"r{s}", "kind": "relu"},
+            {"id": f"p{s}", "kind": "avg_pool", "params": {"window": 2}},
+        ]
+        width = 12
+    layers += [
+        {"id": "dz", "kind": "dense", "params": {"in_features": width, "out_features": 16}},
+        {"id": "rz", "kind": "relu"},
+        {"id": "fc", "kind": "dense", "params": {"in_features": 16, "out_features": 3}},
+        {"id": "sm", "kind": "softmax"},
+    ]
+    return {"input_shape": [16], "layers": layers}
+
+
+def exits_case(n_exit: int, kind: str = "mcd", depth: int = 1):
+    """(spec, weights) of a fresh MLP with n_exit exits and `depth` dropout
+    sites in every head; the spec has no step table yet."""
+    me = netspec.place_exits(netspec.parse_network(four_exit_mlp()))
+    if kind == "mcd":
+        cfg = DropoutConfig(kind="mcd", keep_rate=0.5, seed=2)
+    else:
+        cfg = DropoutConfig(kind="masksembles", num_masks=4, scale=2.0, seed=2)
+    me = netspec.keep_exits(netspec.insert_dropout(me, cfg, depth), n_exit)
+    return me, runtime.init_weights(netspec.all_layers(me), 4)
+
+
+class CountingHashlib:
+    """Stands in for the hashlib module of mcexit.dropout, counting the
+    blake2b states it builds."""
+
+    def __init__(self):
+        self.blake2b_calls = 0
+
+    def blake2b(self, *args, **kwargs):
+        self.blake2b_calls += 1
+        return hashlib.blake2b(*args, **kwargs)
+
+
+class TestMonteCarloCalls:
+    """How one Monte-Carlo call spends its draws and its softmax."""
+
+    @pytest.mark.parametrize("n_exit", [1, 2, 3, 4])
+    def test_one_softmax_per_samples_call(self, n_exit, monkeypatch):
+        me, weights = exits_case(n_exit)
+        assert me.n_exit == n_exit
+        calls = []
+        original = runtime.softmax
+        monkeypatch.setattr(runtime, "softmax", lambda x: calls.append(x.shape) or original(x))
+        monkeypatch.setattr(inference, "BLOCK_INPUTS", 3)
+        inputs = rng(5).standard_normal((7, 16)).astype(np.float32)
+        for q in (None, QFormat(8, 3)):
+            calls.clear()
+            inference.predict(me, inputs[0], 4, weights, 1, q)
+            assert calls == [(1, n_exit, 4, 3)]
+            calls.clear()
+            inference.ensemble_dataset(me, weights, inputs, 4, 1, q)  # blocks of 3, 3 and 1
+            assert calls == [(3, n_exit, 4, 3), (3, n_exit, 4, 3), (1, n_exit, 4, 3)]
+            calls.clear()
+            # early exit decides exit by exit, so each exit it runs has its own
+            inference.confidence_exit(me, inputs[0], 1.0 - 1e-9, "per_exit", weights, 4, 1, q)
+            assert calls == [(4, 3)] * n_exit
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_one_key_prefix_per_input_per_call(self, depth, monkeypatch):
+        me, weights = exits_case(4, depth=depth)
+        sites = sum(layer.kind == "dropout_point" for ex in me.exits for layer in ex.head_layers)
+        assert sites == 4 * depth
+        inputs = rng(5).standard_normal((5, 16)).astype(np.float32)
+        seeds = [11, 12, 13, 14, 15]
+        monkeypatch.setattr(inference, "BLOCK_INPUTS", 2)
+        cached = inference.run_trunk(me, inputs[0], weights)
+        calls = [
+            (1, lambda: inference.predict(me, inputs[0], 4, weights, 1)),
+            (5, lambda: inference.ensemble_rows(me, weights, inputs, 4, seeds)),
+            (1, lambda: inference.confidence_exit(me, inputs[0], 1 - 1e-9, "per_exit", weights, 4, 1)),
+            (1, lambda: inference.run_exit_samples(cached, me, 2, 4, weights, 1)),
+        ]
+        for expected, call in calls:
+            counter = CountingHashlib()
+            monkeypatch.setattr(dropout, "hashlib", counter)
+            call()
+            assert counter.blake2b_calls == expected
+
+    def test_masksembles_draws_no_keys(self, monkeypatch):
+        me, weights = exits_case(4, kind="masksembles")
+        counter = CountingHashlib()
+        monkeypatch.setattr(dropout, "hashlib", counter)
+        inputs = rng(5).standard_normal((5, 16)).astype(np.float32)
+        inference.ensemble_rows(me, weights, inputs, 4, [1, 2, 3, 4, 5])
+        assert counter.blake2b_calls == 0
+
+    def test_a_head_without_its_softmax_is_refused(self):
+        me, weights = exits_case(2)
+        first = dataclasses.replace(me.exits[0], head_layers=me.exits[0].head_layers[:-1])
+        me = dataclasses.replace(me, exits=(first, *me.exits[1:]))
+        x = np.zeros((2, 16), np.float32)
+        with pytest.raises(ValueError, match="exit 1 head must end in softmax"):
+            inference.ensemble_dataset(me, weights, x, 4, 1)
+
+    @pytest.mark.parametrize("kind", ["mcd", "masksembles"])
+    @pytest.mark.parametrize("q", [None, QFormat(8, 3)], ids=["float", "q8"])
+    def test_no_inputs_give_no_rows(self, kind, q):
+        me, weights = exits_case(3, kind=kind)
+        none = np.zeros((0, 16), np.float32)
+        flops = metrics.count_flops(me)
+        assert inference.ensemble_dataset(me, weights, none, 4, 1, q).shape == (0, 3)
+        assert inference.ensemble_rows(me, weights, none, 4, [], q).shape == (0, 3)
+        for mode in inference.EXIT_MODES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the mean FLOPs of no inputs
+                scores = inference.confidence_exit_dataset(
+                    me, weights, none, 4, 1, 0.5, mode, flops, q
+                )
+            assert scores.probs.shape == (0, 3)
+            assert scores.exits_taken.shape == (0,)
+
+    def test_threads_give_the_serial_outputs(self, mcd_spec, mcd_weights, blob_data):
+        """Four threads (more than the cores of a small host), switched as
+        often as the interpreter allows, run predict and ensemble_dataset
+        on different inputs in their own orders, on a spec whose step table
+        they resolve between them; a generator or key state shared across
+        threads would mix streams."""
+        xs = blob_data.features[:24]
+        q8 = QFormat(8, 3)
+        ops = [("predict", i, q) for i in range(0, 24, 3) for q in (None, q8)]
+        ops += [("ensemble", a, q) for a in range(0, 24, 6) for q in (None, q8)]
+
+        def run(me, op):
+            kind, i, q = op
+            if kind == "predict":
+                return inference.predict(me, xs[i], 4, mcd_weights, i, q).samples
+            return inference.ensemble_dataset(me, mcd_weights, xs[i : i + 6], 4, i, q)
+
+        serial = [run(mcd_spec, op) for op in ops]
+        fresh = dataclasses.replace(mcd_spec)  # no step table yet
+        orders = [np.roll(np.arange(len(ops)), 5 * who)[:: 1 - 2 * (who % 2)] for who in range(4)]
+        start = threading.Barrier(len(orders))
+        results: dict[int, list] = {who: [] for who in range(len(orders))}
+
+        def work(who: int) -> None:
+            start.wait(timeout=10)
+            for _ in range(3):
+                results[who].append([run(fresh, ops[i]) for i in orders[who]])
+
+        workers = [threading.Thread(target=work, args=(who,)) for who in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for who, order in enumerate(orders):
+            assert len(results[who]) == 3
+            for outputs in results[who]:
+                for i, out in zip(order, outputs):
+                    assert out.tobytes() == serial[i].tobytes(), (who, ops[i])

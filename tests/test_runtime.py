@@ -1,7 +1,12 @@
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -557,6 +562,35 @@ class TestWeightCodes:
         gc.collect()
         assert all(ref() is None for ref in codes)
         assert not set(keys) & set(runtime._weight_codes)
+
+    def test_codes_alive_at_interpreter_exit_leave_quietly(self):
+        """A program that holds a conv net's weights in a module global until
+        exit frees them while shutdown tears down mcexit.runtime, and so
+        runs each array's cleanup after the module's globals are gone; a
+        gc callback keeps the collector busy through that teardown."""
+        here = Path(__file__).resolve().parent
+        code = textwrap.dedent(
+            """
+            import gc
+            import numpy as np
+            from conftest import lenet_doc
+            from mcexit import inference, netspec, runtime
+            from mcexit.dropout import DropoutConfig
+            from mcexit.runtime import QFormat
+
+            me = netspec.place_exits(netspec.parse_network(lenet_doc()))
+            cfg = DropoutConfig(kind="masksembles", num_masks=4, scale=2.0)
+            me = netspec.insert_dropout(me, cfg, 1)
+            WEIGHTS = runtime.init_weights(netspec.all_layers(me), 0)
+            x = np.zeros((1, 12, 12), np.float32)
+            inference.predict(me, x, 4, WEIGHTS, qformat=QFormat(8, 3))
+            gc.callbacks.append(lambda *args: None)
+            """
+        )
+        env = {"PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)]), "PATH": ""}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
 
     def test_a_format_is_its_four_fields(self):
         q = QFormat(8, 3)

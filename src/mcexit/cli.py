@@ -15,6 +15,7 @@ outputs are byte-stable for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 import traceback
@@ -416,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--masks-out", default=None, help="mask table JSON (masksembles)")
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("train", help="train toy weights for a multi-exit network")
     p.add_argument("--spec", required=True, help="multi-exit network JSON")
@@ -426,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="weights manifest JSON to write")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score one configuration on a dataset")
     p.add_argument("--spec", required=True)
@@ -442,14 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bins", type=int, default=15)
     p.add_argument("--out", required=True, help="report JSON to write")
     p.add_argument("--csv", default=None, help="also write a one-row CSV")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("explore", help="sweep the joint design space")
     p.add_argument("--config", required=True, help="exploration config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("map", help="map Monte-Carlo samples onto exit engines")
     p.add_argument("--spec", required=True)
@@ -458,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hardware", default=None, help="hardware model JSON")
     p.add_argument("--out", required=True, help="mapping JSON to write")
     p.add_argument("--pareto", default=None, help="frontier JSON to write")
-    p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("emit", help="emit an accelerator plan")
     p.add_argument("--spec", required=True)
@@ -470,19 +466,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None, help="embed an evaluate report")
     p.add_argument("--out", required=True, help="plan JSON to write")
     p.add_argument("--report", default=None, help="plan text report to write")
-    p.set_defaults(func=cmd_emit)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one verb. The parser is built once per process, and the verb's
+    cmd_ function is looked up in this module on each call."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 3

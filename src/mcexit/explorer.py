@@ -4,12 +4,19 @@ Enumerates the full Cartesian grid of design knobs (dropout kind and
 strength, exit count, passes per exit, datapath bitwidth, channel
 fraction, engine count, optional confidence threshold), evaluates every
 point end to end on a toy dataset, then filters by constraints and
-ranks lexicographically with tie tolerances. train_points is the one
-place that builds, slices or trains each point's network; points whose
+ranks lexicographically with tie tolerances.
+
+A point's dropout, training, evaluation and noise seeds come from its
+training key (DesignPoint.training_key): only the knobs that the
+network and its trainer read. train_points is the one place that
+builds, slices or trains a network, once per training key; keys whose
 networks differ only in their dropout config train together in one
-stacked pass, each to the weights it would get alone. Each point is
-then scored through metrics.score, as `mcexit evaluate` is. Failures
-are recorded per point, never aborting a sweep.
+stacked pass, each to the weights it would get alone. Each score key
+(every knob but the engine count, which cannot change a sample) is
+then scored once through metrics.score, as `mcexit evaluate` is, so
+points that differ only in engines share one score and differ only in
+their mapping, latency and resources. Failures are recorded per point,
+never aborting a sweep.
 """
 
 from __future__ import annotations
@@ -82,6 +89,22 @@ class DesignPoint:
             f":b{self.bitwidth}:c{self.channel_fraction!r}:g{self.mapping_engines}"
             f":t{self.threshold!r}"
         )
+
+    def training_key(self) -> str:
+        """What build_point_spec and the trainer read: the dropout kind
+        and parameter, n_exit, channel_fraction, and n_pass only for
+        masksembles, whose mask count it sets. It seeds the point's
+        dropout, training, evaluation and noise."""
+        passes = f":p{self.n_pass}" if self.dropout_kind == "masksembles" else ""
+        return (
+            f"{self.dropout_kind}:{self.dropout_param!r}:e{self.n_exit}{passes}"
+            f":c{self.channel_fraction!r}"
+        )
+
+    def score_key(self) -> str:
+        """Every knob but mapping_engines, which cannot change a sample:
+        points with equal score keys score the same."""
+        return replace(self, mapping_engines=1).key()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -295,14 +318,14 @@ def build_point_spec(
         cfg = DropoutConfig(
             kind="mcd",
             keep_rate=1.0 - dp.dropout_param,
-            seed=derive_seed(seed, "drop", dp.key()),
+            seed=derive_seed(seed, "drop", dp.training_key()),
         )
     else:
         cfg = DropoutConfig(
             kind="masksembles",
             num_masks=dp.n_pass,
             scale=dp.dropout_param,
-            seed=derive_seed(seed, "drop", dp.key()),
+            seed=derive_seed(seed, "drop", dp.training_key()),
         )
     return netspec.insert_dropout(me, cfg, settings.depth)
 
@@ -329,13 +352,18 @@ def evaluate_design_point(
     settings: EvaluationSettings,
     seed: int,
     trained: TrainedPoint | None = None,
+    reports: dict[str, MetricsReport] | None = None,
 ) -> PointResult:
     """Score one design point end to end on the spec, split and weights
     train_points gives it; without trained, that is train_points of this
     point alone.
 
-    Any construction, training or scoring failure is captured in the
-    result's error field so a sweep keeps going.
+    reports maps score keys to the report of a point already scored on
+    the same train_points output. A point whose score key is there takes
+    that report, and one that is scored adds its own, so explore scores
+    each score key once. Mapping, latency and resources are always the
+    point's own. Any construction, training or scoring failure is
+    captured in the result's error field so a sweep keeps going.
     """
     try:
         if trained is None:
@@ -343,31 +371,34 @@ def evaluate_design_point(
         if trained.error is not None:
             return PointResult(point=dp, error=trained.error)
         me = trained.me
-        qformat = runtime.datapath_format(dp.bitwidth, settings.integer_bits)
         flop_report = metrics.count_flops(me)
-        baseline = metrics.chain_flops(base_net.layers, base_net.input_shape)
-        flops_fraction = metrics.cost_multi_exit(flop_report, dp.n_sample, dp.n_exit) / baseline
+        reports = {} if reports is None else reports
+        report = reports.get(dp.score_key())
+        if report is None:
+            qformat = runtime.datapath_format(dp.bitwidth, settings.integer_bits)
+            baseline = metrics.chain_flops(base_net.layers, base_net.input_shape)
+            flops_fraction = metrics.cost_multi_exit(flop_report, dp.n_sample, dp.n_exit) / baseline
 
-        noise = noise_like(trained.train_data, noise_count, derive_seed(seed, "noise", dp.key()))
-        scores = metrics.score(
-            me, trained.weights, trained.test_data, dp.n_pass, derive_seed(seed, "eval", dp.key()),
-            noise, flop_report, qformat, dp.threshold, settings.exit_mode, settings.n_bins,
-        )
-        early = scores.early_exit
-        early_fraction = None if early is None else early.avg_flops_per_input / baseline
+            key = dp.training_key()
+            noise = noise_like(trained.train_data, noise_count, derive_seed(seed, "noise", key))
+            scores = metrics.score(
+                me, trained.weights, trained.test_data, dp.n_pass, derive_seed(seed, "eval", key),
+                noise, flop_report, qformat, dp.threshold, settings.exit_mode, settings.n_bins,
+            )
+            early = scores.early_exit
+            early_fraction = None if early is None else early.avg_flops_per_input / baseline
+            report = reports[dp.score_key()] = MetricsReport(
+                accuracy=scores.accuracy,
+                ece=scores.ece,
+                ape=scores.ape,
+                flops_fraction=flops_fraction,
+                n_sample=dp.n_sample,
+                flops_fraction_early_exit=early_fraction,
+            )
 
         plan = mapping.build_mapping(dp.n_sample, dp.mapping_engines)
         latency = mapping.estimate_latency(plan, flop_report, hw)
         res = mapping.estimate_resources(plan, me, hw)
-
-        report = MetricsReport(
-            accuracy=scores.accuracy,
-            ece=scores.ece,
-            ape=scores.ape,
-            flops_fraction=flops_fraction,
-            n_sample=dp.n_sample,
-            flops_fraction_early_exit=early_fraction,
-        )
         return PointResult(dp, report, latency, resources=res.usage, fits=res.fits)
     except Exception as err:  # recorded, never aborts the sweep
         return PointResult(point=dp, error=_failure(err))
@@ -382,7 +413,7 @@ def _train_config(dp: DesignPoint, settings: EvaluationSettings, seed: int) -> t
         lr=settings.lr,
         epochs=settings.epochs,
         batch=settings.batch,
-        seed=derive_seed(seed, "train", dp.key()),
+        seed=derive_seed(seed, "train", dp.training_key()),
     )
 
 
@@ -396,59 +427,65 @@ def train_points(
     """The data split, and each point's spec and weights: the one place
     that builds, slices and trains.
 
-    In channel_mode 'slice' a narrowed point slices the full network's
-    settings.base_weights. Every other point trains, and points whose specs
+    Each training key is built, and sliced or trained, once, and every
+    point that shares it gets that spec and those weights. In
+    channel_mode 'slice' a narrowed key slices the full network's
+    settings.base_weights. Every other key trains, and keys whose specs
     differ only in their dropout config train together in one
     train_models call, each to the weight bytes train_toy gives it alone.
-    A point that cannot be built, sliced or trained carries its error, as
-    does one whose spec has fewer classes than the labels of data name:
-    the labels are checked once for each class count.
+    A key that cannot be built, sliced or trained gives its points its
+    error, as does one whose spec has fewer classes than the labels of
+    data name: the labels are checked once for each class count.
     """
     train_data, test_data = train_test_split(data, settings.test_fraction, seed)
-    specs: dict[int, netspec.MultiExitSpec] = {}
-    weights: dict[int, runtime.WeightStore] = {}
-    errors: dict[int, str] = {}
-    steps: dict[int, train.TrainStep] = {}
-    groups: list[tuple[netspec.MultiExitSpec, list[int]]] = []
+    specs: dict[str, netspec.MultiExitSpec] = {}
+    weights: dict[str, runtime.WeightStore] = {}
+    errors: dict[str, str] = {}
+    steps: dict[str, train.TrainStep] = {}
+    groups: list[tuple[netspec.MultiExitSpec, list[str]]] = []
     labels_outside = functools.cache(lambda classes: label_error(data, classes))
-    for i, dp in enumerate(points):
+    firsts: dict[str, DesignPoint] = {}
+    for dp in points:
+        firsts.setdefault(dp.training_key(), dp)
+    for k, dp in firsts.items():
         try:
-            specs[i] = build_point_spec(dp, base_net, seed, settings)
-            bad_labels = labels_outside(specs[i].class_count)
+            specs[k] = build_point_spec(dp, base_net, seed, settings)
+            bad_labels = labels_outside(specs[k].class_count)
             if bad_labels is not None:
-                errors[i] = _failure(bad_labels)
+                errors[k] = _failure(bad_labels)
                 continue
             if settings.channel_mode == "slice" and dp.channel_fraction != 1.0:
                 if settings.base_weights is None:
                     raise ValueError("channel_mode 'slice' needs base_weights for the full network")
                 full = build_point_spec(replace(dp, channel_fraction=1.0), base_net, seed, settings)
-                weights[i] = runtime.slice_weights(
-                    settings.base_weights, netspec.all_layers(full), netspec.all_layers(specs[i])
+                weights[k] = runtime.slice_weights(
+                    settings.base_weights, netspec.all_layers(full), netspec.all_layers(specs[k])
                 )
                 continue
-            steps[i] = train.TrainStep(specs[i])
+            steps[k] = train.TrainStep(specs[k])
         except Exception as err:  # recorded, never aborts the sweep
-            errors[i] = _failure(err)
+            errors[k] = _failure(err)
             continue
-        shared = replace(specs[i], dropout=None)
-        members = next((m for key, m in groups if key == shared), None)
+        shared = replace(specs[k], dropout=None)
+        members = next((m for spec, m in groups if spec == shared), None)
         if members is None:
-            groups.append((shared, [i]))
+            groups.append((shared, [k]))
         else:
-            members.append(i)
+            members.append(k)
 
     for _, members in groups:
-        cfgs = [_train_config(points[i], settings, seed) for i in members]
+        cfgs = [_train_config(firsts[k], settings, seed) for k in members]
         try:
             weights.update(
-                zip(members, train.train_models([steps[i] for i in members], train_data, cfgs))
+                zip(members, train.train_models([steps[k] for k in members], train_data, cfgs))
             )
         except Exception as err:  # recorded, never aborts the sweep
             errors.update(dict.fromkeys(members, _failure(err)))
-    return [
-        TrainedPoint(train_data, test_data, specs.get(i), weights.get(i), errors.get(i))
-        for i in range(len(points))
-    ]
+    trained = {
+        k: TrainedPoint(train_data, test_data, specs.get(k), weights.get(k), errors.get(k))
+        for k in firsts
+    }
+    return [trained[dp.training_key()] for dp in points]
 
 
 def point_plan(
@@ -549,21 +586,30 @@ def explore(
     noise_count: int = 64,
     jobs: int = 1,
 ) -> ExplorationOutcome:
-    """Enumerate, train (train_points), score (optionally in a thread
-    pool), filter, rank."""
+    """Enumerate, train (train_points, once per training key), score
+    (once per score key, optionally in a thread pool), filter, rank."""
     points = enumerate_design_points(grids)
     prepared = train_points(points, base_net, data, settings, seed)
+    by_score: dict[str, list[int]] = {}
+    for i, dp in enumerate(points):
+        by_score.setdefault(dp.score_key(), []).append(i)
 
-    def run(dp: DesignPoint, trained: TrainedPoint) -> PointResult:
-        return evaluate_design_point(
-            dp, base_net, data, noise_count, hw, settings, seed, trained=trained
-        )
+    def run(members: list[int]) -> list[PointResult]:
+        reports: dict[str, MetricsReport] = {}  # this task's own: no two threads share it
+        return [
+            evaluate_design_point(
+                points[i], base_net, data, noise_count, hw, settings, seed, prepared[i], reports
+            )
+            for i in members
+        ]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, points, prepared))
+            scored = list(pool.map(run, by_score.values()))
     else:
-        results = [run(dp, trained) for dp, trained in zip(points, prepared)]
+        scored = [run(members) for members in by_score.values()]
+    done = {i: r for members, rs in zip(by_score.values(), scored) for i, r in zip(members, rs)}
+    results = [done[i] for i in range(len(points))]
     ranked, best = filter_and_rank(results, constraints, priority)
     return ExplorationOutcome(results=tuple(results), ranked=tuple(ranked), best=best)
 

@@ -592,7 +592,8 @@ def confidence_exit_dataset(
     dataset_seeds(seed, len(inputs))[i], and the early-exit FLOP
     accounting of flops (metrics.count_flops of me) over the exits run.
     That is the modelled cost: it charges the whole flop_main, even though
-    the trunk stops at the attach point of the exit that answers."""
+    the trunk stops at the attach point of the exit that answers. Zero
+    inputs spend 0.0 FLOPs on average."""
     inputs = np.asarray(inputs, dtype=np.float32)
     seeds = dataset_seeds(seed, len(inputs))
     parts = [
@@ -603,5 +604,5 @@ def confidence_exit_dataset(
     taken = np.concatenate([t for _, t, _ in parts])
     spent = [flops.flop_main + n_pass * sum(flops.per_exit[:k]) for k in taken]
     return EarlyExitScores(
-        probs=probs, exits_taken=taken, avg_flops_per_input=float(np.mean(spent))
+        probs=probs, exits_taken=taken, avg_flops_per_input=float(np.mean(spent)) if spent else 0.0
     )

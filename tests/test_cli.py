@@ -1218,6 +1218,30 @@ class TestMainDispatch:
         assert rc == 1
         assert "RuntimeError: wires crossed" in capsys.readouterr().err
 
+    def test_options_do_not_leak_between_calls(self, ws, tmp_path):
+        """The parser is built once per process; an option given to one
+        call must not reach the next."""
+        argv = [
+            "evaluate", "--spec", str(ws / "multi_exit.json"), "--weights", str(ws / "weights.json"),
+            "--synth", "3,16,30", "--n-pass", "1", "--noise-count", "4",
+        ]
+        assert cli.main([*argv, "--bits", "8", "--out", str(tmp_path / "q8.json")]) == 0
+        assert cli.main([*argv, "--out", str(tmp_path / "float.json")]) == 0
+        assert json.loads((tmp_path / "q8.json").read_text())["bits"] == 8
+        assert json.loads((tmp_path / "float.json").read_text())["bits"] is None
+
+    def test_a_verb_rebound_after_a_first_call_runs(self, ws, tmp_path, monkeypatch, capsys):
+        """main looks each verb's cmd_ function up in the module on every
+        call, so a later rebinding (a test double, a tracing wrapper) runs."""
+        argv = ["map", "--spec", str(ws / "multi_exit.json"), "--n-sample", "6"]
+        assert cli.main([*argv, "--out", str(tmp_path / "first.json")]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_map", lambda args: seen.append(args.out) or 0)
+        assert cli.main([*argv, "--out", str(tmp_path / "second.json")]) == 0
+        assert seen == [str(tmp_path / "second.json")]
+        assert not (tmp_path / "second.json").exists()
+        capsys.readouterr()
+
     def test_module_entry_point(self):
         # the child imports the same package as this process, installed or not
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,23 @@ class TestDesignPoint:
         a, b = make_point(), make_point(n_pass=3)
         assert a.key() == make_point().key()
         assert a.key() != b.key()
+
+    def test_training_key_holds_only_what_the_trainer_reads(self):
+        dp = make_point()
+        for knob in (dict(n_pass=8), dict(bitwidth=8), dict(threshold=0.9), dict(mapping_engines=4)):
+            assert make_point(**knob).training_key() == dp.training_key()
+        for knob in (dict(dropout_param=0.5), dict(n_exit=3), dict(channel_fraction=0.5)):
+            assert make_point(**knob).training_key() != dp.training_key()
+        masks = make_point(dropout_kind="masksembles", dropout_param=2.0)
+        assert masks.training_key() != replace(masks, n_pass=4).training_key()  # its mask count
+        assert masks.training_key() != make_point(dropout_kind="mcd").training_key()
+
+    def test_score_key_is_every_knob_but_the_engine_count(self):
+        dp = make_point()
+        assert make_point(mapping_engines=4).score_key() == dp.score_key()
+        knobs = (dict(n_pass=8), dict(bitwidth=8), dict(threshold=0.9), dict(n_exit=3))
+        for knob in knobs:
+            assert make_point(**knob).score_key() != dp.score_key()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -521,9 +539,10 @@ class TestGroupedTraining:
             data, hw, settings_, seed=7, noise_count=4,
         )
         assert explorer.results_to_rows(outcome.results) == explorer.results_to_rows(alone)
-        # one group per (channel fraction, exit count) that builds, of three
-        # points: the masksembles points with 8 passes fail and leave theirs
-        assert groups == [3, 3, 3, 3]
+        # one group per (channel fraction, exit count) that builds, of two
+        # training keys: the mcd points at 2 and 8 passes share one, and the
+        # masksembles points with 8 passes fail and leave theirs
+        assert groups == [2, 2, 2, 2]
         errors = {r.error.split(":")[0] for r in alone if not r.ok}
         assert errors == {"ValueError"}
         assert any("zero width" in r.error for r in alone if not r.ok)
@@ -603,9 +622,118 @@ class TestGroupedTraining:
         assert [r.error for r in alone] == [error] * 3
 
 
+def weight_bytes(store) -> bytes:
+    return b"".join(
+        store[layer][name].tobytes() for layer in sorted(store) for name in sorted(store[layer])
+    )
+
+
+class TestTrainingAndScoreKeys:
+    """explore seeds, builds and trains each training key once, and scores
+    each score key once; points that differ only in engines share one
+    score."""
+
+    def test_points_share_weights_exactly_when_they_share_a_training_key(self):
+        net = netspec.parse_network(mlp_doc())
+        data = datasets.make_blobs(count=40, classes=3, dim=16, seed=8)
+        mcd = make_point(n_exit=3)
+        masks = make_point(dropout_kind="masksembles", dropout_param=2.0, n_exit=3)
+        points = [
+            mcd,
+            replace(mcd, bitwidth=8),
+            replace(mcd, threshold=0.9),
+            replace(mcd, n_pass=4),
+            replace(mcd, mapping_engines=3),
+            masks,
+            replace(masks, bitwidth=8, threshold=0.9, mapping_engines=3),
+            replace(masks, n_pass=3),
+        ]
+        trained = explorer.train_points(
+            points, net, data, EvaluationSettings(epochs=3, batch=16), seed=7
+        )
+        assert all(t.error is None for t in trained), [t.error for t in trained]
+        codes = [weight_bytes(t.weights) for t in trained]
+        assert codes[1:5] == [codes[0]] * 4
+        assert codes[6] == codes[5]
+        assert len({codes[0], codes[5], codes[7]}) == 3  # masksembles n_pass sets the masks
+        assert all(t.me is trained[0].me for t in trained[:5])
+        assert trained[7].me.dropout.num_masks == 3
+
+    @pytest.fixture(scope="class")
+    def readme_sweep(self):
+        """The README explore config with n_passes [4, 16], bitwidths
+        [null, 8], engines [1, 4] and thresholds [null, 0.9]: 128 points,
+        of which the 32 masksembles points at 16 passes fail to build."""
+        net = netspec.parse_network(mlp_doc())
+        data = datasets.make_blobs(count=90, classes=3, dim=16, seed=5)
+        grids = ExplorationGrids(
+            n_exits=(3,), n_passes=(4, 16), bitwidths=(None, 8), engines=(1, 4),
+            thresholds=(None, 0.9),
+        )
+        models, scored = [], []
+        train_models, score = train.train_models, metrics.score
+
+        def train_spy(steps, data, cfgs):
+            models.extend(cfg.seed for cfg in cfgs)
+            return train_models(steps, data, cfgs)
+
+        def score_spy(*args, **kwargs):
+            scored.append(args)
+            return score(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(train, "train_models", train_spy)
+            mp.setattr(metrics, "score", score_spy)
+            outcome = explorer.explore(
+                net, grids, Constraints(min_accuracy=0.9),
+                Priority(metrics=("accuracy", "ece", "flops"), tolerances={"accuracy": 0.002}),
+                data, default_hardware_model(), EvaluationSettings(epochs=120), seed=3,
+            )
+        return net, data, outcome, models, scored
+
+    def test_the_readme_grid_trains_each_training_key_once(self, readme_sweep):
+        *_, outcome, models, _ = readme_sweep
+        assert len(outcome.results) == 128
+        assert sum(r.ok for r in outcome.results) == 96
+        ok_keys = {r.point.training_key() for r in outcome.results if r.ok}
+        assert len(ok_keys) == 8  # 4 mcd rates, and 4 masksembles scales at 4 passes
+        assert len(models) == len(set(models)) == 8
+
+    def test_the_readme_grid_scores_each_score_key_once(self, readme_sweep):
+        *_, outcome, _, scored = readme_sweep
+        assert len(scored) == len({r.point.score_key() for r in outcome.results if r.ok}) == 48
+
+    def test_points_that_differ_only_in_engines_share_one_score(self, readme_sweep):
+        *_, outcome, _, _ = readme_sweep
+        by_score: dict[str, list[PointResult]] = {}
+        for r in outcome.results:
+            by_score.setdefault(r.point.score_key(), []).append(r)
+        assert len(by_score) == 64 and all(len(rs) == 2 for rs in by_score.values())
+        for one, four in by_score.values():
+            assert (one.point.mapping_engines, four.point.mapping_engines) == (1, 4)
+            assert one.report == four.report
+            assert one.error == four.error
+            if one.ok:
+                assert one.latency.cycles > four.latency.cycles
+
+    def test_each_point_alone_gives_its_sweep_row(self, readme_sweep):
+        net, data, outcome, _, _ = readme_sweep
+        picked = [r for r in outcome.results if r.point.mapping_engines == 4][::9]
+        assert {r.point.dropout_kind for r in picked} == {"mcd", "masksembles"}
+        alone = [
+            explorer.evaluate_design_point(
+                r.point, net, data, 64, default_hardware_model(), EvaluationSettings(epochs=120),
+                seed=3,
+            )
+            for r in picked
+        ]
+        assert explorer.results_to_rows(alone) == explorer.results_to_rows(picked)
+
+
 def test_explore_builds_each_point_spec_and_the_split_once(monkeypatch):
     """train_points hands every point's spec and the data split to scoring,
-    and a point that cannot be built, or cannot train, is tried once."""
+    and builds each training key once: a key that cannot be built, or
+    cannot train, is tried once for all its points."""
     net = netspec.parse_network(mlp_doc())
     data = datasets.make_blobs(count=40, classes=3, dim=16, seed=8)
     grids = ExplorationGrids(
@@ -636,8 +764,11 @@ def test_explore_builds_each_point_spec_and_the_split_once(monkeypatch):
     assert sum("n_exit must be in [1, 3], got 4" in e for e in errors) == 8
     assert sum("smaller than num_masks 32" in e for e in errors) == 4
     assert len(errors) == 12
-    points = len(explorer.enumerate_design_points(grids))
-    assert list(calls.values()) == [points, 1, points - 8]
+    # 18 training keys: mcd at 3 exit counts and masksembles at 3 exit
+    # counts and 2 pass counts, each at 2 channel fractions; the 6 keys with
+    # 4 exits fail to build, so 12 reach the trainer
+    assert len({dp.training_key() for dp in explorer.enumerate_design_points(grids)}) == 18
+    assert list(calls.values()) == [18, 1, 12]
 
 
 def test_explore_scores_each_point_through_metrics_score(monkeypatch):

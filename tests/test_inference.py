@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -666,13 +665,10 @@ class TestMonteCarloCalls:
         assert inference.ensemble_dataset(me, weights, none, 4, 1, q).shape == (0, 3)
         assert inference.ensemble_rows(me, weights, none, 4, [], q).shape == (0, 3)
         for mode in inference.EXIT_MODES:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # the mean FLOPs of no inputs
-                scores = inference.confidence_exit_dataset(
-                    me, weights, none, 4, 1, 0.5, mode, flops, q
-                )
+            scores = inference.confidence_exit_dataset(me, weights, none, 4, 1, 0.5, mode, flops, q)
             assert scores.probs.shape == (0, 3)
             assert scores.exits_taken.shape == (0,)
+            assert scores.avg_flops_per_input == 0.0
 
     def test_threads_give_the_serial_outputs(self, mcd_spec, mcd_weights, blob_data):
         """Four threads (more than the cores of a small host), switched as

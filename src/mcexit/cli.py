@@ -151,8 +151,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.noise_count < 1:
-        raise ValueError(f"--noise-count must be >= 1, got {args.noise_count}")
+    for flag in ("n_pass", "n_bins", "noise_count"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}")
     me = netspec.load_multi_exit(args.spec)
     weights = runtime.load_weights(args.weights)
     data = _load_data(args, me)
@@ -174,9 +175,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report["flops_fraction"] = report["cost_multi_exit"] / report["cost_single_exit"]
 
     noise = noise_like(data, args.noise_count, derive_seed(args.seed, "noise"))
-    scores = metrics.score(
+    (scores,) = metrics.score(
         me, weights, data, args.n_pass, args.seed, noise, flops, qformat,
-        args.threshold, args.exit_mode, args.n_bins,
+        [args.threshold], args.exit_mode, args.n_bins,
     )
     if scores.early_exit is not None:
         report["threshold"] = args.threshold
@@ -314,6 +315,8 @@ def _mapping_doc(
 
 
 def _sample_count(args: argparse.Namespace, me: netspec.MultiExitSpec) -> int:
+    if args.n_sample < 1:
+        raise ValueError(f"--n-sample must be >= 1, got {args.n_sample}")
     if args.n_sample % me.n_exit != 0:
         raise ValueError(
             f"--n-sample {args.n_sample} is not divisible by the {me.n_exit} exits"

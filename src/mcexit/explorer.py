@@ -7,16 +7,17 @@ point end to end on a toy dataset, then filters by constraints and
 ranks lexicographically with tie tolerances.
 
 A point's dropout, training, evaluation and noise seeds come from its
-training key (DesignPoint.training_key): only the knobs that the
-network and its trainer read. train_points is the one place that
-builds, slices or trains a network, once per training key; keys whose
-networks differ only in their dropout config train together in one
-stacked pass, each to the weights it would get alone. Each score key
-(every knob but the engine count, which cannot change a sample) is
-then scored once through metrics.score, as `mcexit evaluate` is, so
-points that differ only in engines share one score and differ only in
-their mapping, latency and resources. Failures are recorded per point,
-never aborting a sweep.
+training key (DesignPoint.training_key): only the knobs that the network
+and its trainer read. train_points is the one place that builds, slices
+or trains a network, once per training key; keys whose networks differ
+only in their dropout config train together in one stacked pass, each to
+the weights it would get alone. Each score key (every knob but the
+engine count, which cannot change a sample) is then scored once through
+metrics.score, as `mcexit evaluate` is, so points that differ only in
+engines share one score and differ only in their mapping, latency and
+resources. Each sample key (a score key but its threshold) scores all
+its thresholds in one call, on one draw of samples and one APE. Failures
+are recorded per point, never aborting a sweep.
 """
 
 from __future__ import annotations
@@ -105,6 +106,10 @@ class DesignPoint:
         """Every knob but mapping_engines, which cannot change a sample:
         points with equal score keys score the same."""
         return replace(self, mapping_engines=1).key()
+
+    def sample_key(self) -> str:
+        """The score key but threshold: points that share it share samples."""
+        return replace(self, mapping_engines=1, threshold=None).key()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -353,6 +358,7 @@ def evaluate_design_point(
     seed: int,
     trained: TrainedPoint | None = None,
     reports: dict[str, MetricsReport] | None = None,
+    thresholds: Sequence[float | None] | None = None,
 ) -> PointResult:
     """Score one design point end to end on the spec, split and weights
     train_points gives it; without trained, that is train_points of this
@@ -360,10 +366,11 @@ def evaluate_design_point(
 
     reports maps score keys to the report of a point already scored on
     the same train_points output. A point whose score key is there takes
-    that report, and one that is scored adds its own, so explore scores
-    each score key once. Mapping, latency and resources are always the
-    point's own. Any construction, training or scoring failure is
-    captured in the result's error field so a sweep keeps going.
+    that report; one that is not scores its sample key at each of
+    thresholds (its own by default) in one metrics.score call and adds
+    every report. Mapping, latency and resources are always the point's
+    own. Any construction, training or scoring failure is captured in the
+    result's error field so a sweep keeps going.
     """
     try:
         if trained is None:
@@ -381,20 +388,18 @@ def evaluate_design_point(
 
             key = dp.training_key()
             noise = noise_like(trained.train_data, noise_count, derive_seed(seed, "noise", key))
-            scores = metrics.score(
+            thresholds = [dp.threshold] if thresholds is None else thresholds
+            group = metrics.score(
                 me, trained.weights, trained.test_data, dp.n_pass, derive_seed(seed, "eval", key),
-                noise, flop_report, qformat, dp.threshold, settings.exit_mode, settings.n_bins,
+                noise, flop_report, qformat, thresholds, settings.exit_mode, settings.n_bins,
             )
-            early = scores.early_exit
-            early_fraction = None if early is None else early.avg_flops_per_input / baseline
-            report = reports[dp.score_key()] = MetricsReport(
-                accuracy=scores.accuracy,
-                ece=scores.ece,
-                ape=scores.ape,
-                flops_fraction=flops_fraction,
-                n_sample=dp.n_sample,
-                flops_fraction_early_exit=early_fraction,
-            )
+            for t, scores in zip(thresholds, group):
+                early = scores.early_exit
+                reports[replace(dp, threshold=t).score_key()] = MetricsReport(
+                    scores.accuracy, scores.ece, scores.ape, flops_fraction, dp.n_sample,
+                    None if early is None else early.avg_flops_per_input / baseline,
+                )
+            report = reports[dp.score_key()]
 
         plan = mapping.build_mapping(dp.n_sample, dp.mapping_engines)
         latency = mapping.estimate_latency(plan, flop_report, hw)
@@ -586,29 +591,31 @@ def explore(
     noise_count: int = 64,
     jobs: int = 1,
 ) -> ExplorationOutcome:
-    """Enumerate, train (train_points, once per training key), score
-    (once per score key, optionally in a thread pool), filter, rank."""
+    """Enumerate, train (train_points, once per training key), score (once
+    per sample key, optionally in a thread pool), filter, rank."""
     points = enumerate_design_points(grids)
     prepared = train_points(points, base_net, data, settings, seed)
-    by_score: dict[str, list[int]] = {}
+    by_sample: dict[str, list[int]] = {}
     for i, dp in enumerate(points):
-        by_score.setdefault(dp.score_key(), []).append(i)
+        by_sample.setdefault(dp.sample_key(), []).append(i)
 
     def run(members: list[int]) -> list[PointResult]:
         reports: dict[str, MetricsReport] = {}  # this task's own: no two threads share it
+        thresholds = list(dict.fromkeys(points[i].threshold for i in members))
         return [
             evaluate_design_point(
-                points[i], base_net, data, noise_count, hw, settings, seed, prepared[i], reports
+                points[i], base_net, data, noise_count, hw, settings, seed, prepared[i], reports,
+                thresholds,
             )
             for i in members
         ]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(run, by_score.values()))
+            scored = list(pool.map(run, by_sample.values()))
     else:
-        scored = [run(members) for members in by_score.values()]
-    done = {i: r for members, rs in zip(by_score.values(), scored) for i, r in zip(members, rs)}
+        scored = [run(members) for members in by_sample.values()]
+    done = {i: r for members, rs in zip(by_sample.values(), scored) for i, r in zip(members, rs)}
     results = [done[i] for i in range(len(points))]
     ranked, best = filter_and_rank(results, constraints, priority)
     return ExplorationOutcome(results=tuple(results), ranked=tuple(ranked), best=best)

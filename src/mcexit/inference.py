@@ -4,7 +4,8 @@ The deterministic trunk runs once per input and its activations are
 cached at every exit attach point; each exit head then re-runs n_pass
 times from its cached feature with fresh dropout realizations. Early
 exit advances the trunk exit by exit, so it runs only as deep as each
-input goes. All inputs x passes of a head run as one batch through the
+input goes; early_exit_samples applies its rule to samples drawn once.
+All inputs x passes of a head run as one batch through the
 batch-invariant runtime. Random draws come from counter-based streams
 keyed by (seed, pass, layer id), so results do not depend on evaluation
 order or on batching. A call hashes each input seed's key prefix once
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -414,7 +415,7 @@ def predict(
     )
 
 
-def _mean_samples(samples: np.ndarray) -> np.ndarray:
+def mean_samples(samples: np.ndarray) -> np.ndarray:
     """Mean probability vector over the (exit, pass) axes of samples
     shaped (..., exits, passes, class_count). One reduction shape for a
     single input and for a batch, so their rows agree bit for bit."""
@@ -427,7 +428,49 @@ def ensemble(preds: PredictionSet, upto_exit: int | None = None) -> np.ndarray:
     upto = preds.n_exit if upto_exit is None else upto_exit
     if not 1 <= upto <= preds.n_exit:
         raise ValueError(f"upto_exit must be in [1, {preds.n_exit}], got {upto}")
-    return _mean_samples(preds.samples[:upto])
+    return mean_samples(preds.samples[:upto])
+
+
+def _early_exit(
+    exit_samples: Callable[..., np.ndarray], n_exit: int, threshold: float, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The early-exit rule: an input answers, with its probabilities, exit
+    and confidence, at the first exit whose own mean (per_exit) or running
+    mean (ensemble_so_far) reaches threshold in its top class, else at exit
+    n_exit. exit_samples(k, live, keep) gives exit k's samples
+    (rows, n_pass, class_count) of the undecided inputs: at indices live,
+    the rows keep masks of its last call's (None: all, for either)."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if mode not in EXIT_MODES:
+        raise ValueError(f"mode must be one of {EXIT_MODES}")
+    live = history = keep = None  # undecided rows once some decide, their samples, the last mask
+    for k in range(1, n_exit + 1):
+        samples, keep = exit_samples(k, live, keep), None
+        if mode == "ensemble_so_far":
+            history = samples if history is None else np.concatenate([history, samples], axis=1)
+            samples = history
+        # the ufuncs that samples.mean and p.max call, without their wrappers
+        p = np.add.reduce(samples, axis=1) / samples.shape[1]
+        c = np.maximum.reduce(p, axis=1)
+        done = c >= threshold
+        if k == n_exit:
+            done[:] = True  # the final exit always answers
+        n_done = np.count_nonzero(done)
+        if live is None and n_done == len(p):  # every input answers at this exit
+            return p, np.full(n_done, k, dtype=np.int64), c
+        if not n_done:
+            continue
+        if live is None:
+            live, taken = np.arange(len(p)), np.zeros(len(p), np.int64)
+            probs, confidence = np.empty_like(p), np.empty_like(c)
+        rows = live[done]
+        probs[rows], taken[rows], confidence[rows] = p[done], k, c[done]
+        if n_done == len(live):
+            break
+        keep = ~done
+        live, history = live[keep], None if history is None else history[keep]
+    return probs, taken, confidence
 
 
 def _confidence_exits(
@@ -440,61 +483,27 @@ def _confidence_exits(
     seeds: list[int],
     qformat: QFormat | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """confidence_exit for a batch of inputs. Before exit k's head, the
-    trunk advances to exit k's attach point on the inputs that are still
-    undecided, and the head runs once on them, so an input that exits at
-    k never runs a trunk layer past that point. Returns the probabilities,
-    the exit taken and the confidence of every input."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if mode not in EXIT_MODES:
-        raise ValueError(f"mode must be one of {EXIT_MODES}")
+    """confidence_exit for a batch, by _early_exit: before exit k's head
+    runs once on the undecided inputs, the trunk advances to its attach
+    point on them alone, so an input that exits at k runs no trunk layer past it."""
     _check_n_pass(me, n_pass)
-    n = len(inputs)
     cached: CachedFeatures = {None: np.asarray(inputs, dtype=np.float32)}
     table = _table(me, cached[None].shape[1:])
     prefixes = _prefixes(me, seeds)
     depth = -1
-    live: np.ndarray | None = None  # rows still undecided, once some have decided
-    history: np.ndarray | None = None  # their samples so far, for ensemble_so_far
-    for k, (ex, head, stop) in enumerate(zip(me.exits, table.heads, table.attach), 1):
-        depth = _trunk(table, cached, depth, stop, weights, qformat, None)
-        feature = cached[ex.attach_after]
-        x = _logits(me, head, feature, n_pass, prefixes, weights, qformat, None)
-        samples = _probabilities(x).reshape(len(feature), n_pass, x.shape[-1])
-        if mode == "ensemble_so_far":
-            history = samples if history is None else np.concatenate([history, samples], axis=1)
-            samples = history
-        # the ufuncs that samples.mean and p.max call, without their wrappers
-        p = np.add.reduce(samples, axis=1) / samples.shape[1]
-        c = np.maximum.reduce(p, axis=1)
-        done = c >= threshold
-        if k == me.n_exit:
-            done[:] = True  # the final exit always answers
-        n_done = np.count_nonzero(done)
-        if live is None and n_done == n:  # every input answers at this exit
-            return p, np.full(n, k, dtype=np.int64), c
-        if not n_done:
-            continue
-        if live is None:
-            live = np.arange(n)
-            probs = np.empty((n, p.shape[1]))
-            taken = np.zeros(n, dtype=np.int64)
-            confidence = np.empty(n)
-        rows = live[done]
-        probs[rows] = p[done]
-        taken[rows] = k
-        confidence[rows] = c[done]
-        if n_done == len(live):
-            break
-        keep = ~done
-        live = live[keep]
-        prefixes = [h for h, kept in zip(prefixes, keep) if kept]
-        # later exits read only the activation at depth, this exit's feature
-        cached = {ex.attach_after: cached[ex.attach_after][keep]}
-        if history is not None:
-            history = history[keep]
-    return probs, taken, confidence
+
+    def exit_samples(k: int, _, keep: np.ndarray | None) -> np.ndarray:
+        nonlocal cached, prefixes, depth
+        if keep is not None:
+            prefixes = [h for h, kept in zip(prefixes, keep) if kept]
+            before = me.exits[k - 2].attach_after  # later exits read only its feature
+            cached = {before: cached[before][keep]}
+        depth = _trunk(table, cached, depth, table.attach[k - 1], weights, qformat, None)
+        feature = cached[me.exits[k - 1].attach_after]
+        x = _logits(me, table.heads[k - 1], feature, n_pass, prefixes, weights, qformat, None)
+        return _probabilities(x).reshape(len(feature), n_pass, x.shape[-1])
+
+    return _early_exit(exit_samples, me.n_exit, threshold, mode)
 
 
 def confidence_exit(
@@ -536,7 +545,7 @@ def _blocks(count: int) -> list[slice]:
     return [slice(a, a + BLOCK_INPUTS) for a in range(0, max(count, 1), BLOCK_INPUTS)]
 
 
-def ensemble_rows(
+def dataset_samples(
     me: MultiExitSpec,
     weights: WeightStore,
     inputs: np.ndarray,
@@ -544,16 +553,14 @@ def ensemble_rows(
     seeds: list[int],
     qformat: QFormat | None = None,
 ) -> np.ndarray:
-    """Full-ensemble probabilities, one row per input, input i sampled
-    with seeds[i]: row i equals ensemble(predict(inputs[i], seed=seeds[i]))."""
-    inputs = np.asarray(inputs, dtype=np.float32)
+    """Every exit's samples, (inputs, n_exit, n_pass, class_count), run
+    BLOCK_INPUTS inputs at a time: row i is predict(inputs[i], seeds[i])'s."""
     if len(seeds) != len(inputs):
         raise ValueError(f"{len(seeds)} seeds for {len(inputs)} inputs")
-    rows = [
-        _mean_samples(_samples(me, inputs[b], n_pass, seeds[b], weights, qformat))
-        for b in _blocks(len(inputs))
+    blocks = [
+        _samples(me, inputs[b], n_pass, seeds[b], weights, qformat) for b in _blocks(len(inputs))
     ]
-    return np.concatenate(rows)
+    return np.concatenate(blocks)
 
 
 def ensemble_dataset(
@@ -565,7 +572,8 @@ def ensemble_dataset(
     qformat: QFormat | None = None,
 ) -> np.ndarray:
     """Full-ensemble probabilities for a batch of inputs, one row each."""
-    return ensemble_rows(me, weights, inputs, n_pass, dataset_seeds(seed, len(inputs)), qformat)
+    seeds = dataset_seeds(seed, len(inputs))
+    return mean_samples(dataset_samples(me, weights, inputs, n_pass, seeds, qformat))
 
 
 @dataclass(frozen=True)
@@ -575,6 +583,12 @@ class EarlyExitScores:
     probs: np.ndarray  # (inputs, class_count)
     exits_taken: np.ndarray  # (inputs,) int64
     avg_flops_per_input: float  # mean of flop_main + n_pass * head FLOPs of exits run
+
+
+def _charged(probs: np.ndarray, taken: np.ndarray, n_pass: int, flops: FlopReport):
+    """EarlyExitScores of these answers; zero inputs spend 0.0 FLOPs."""
+    spent = [flops.flop_main + n_pass * sum(flops.per_exit[:k]) for k in taken]
+    return EarlyExitScores(probs, taken, float(np.mean(spent)) if spent else 0.0)
 
 
 def confidence_exit_dataset(
@@ -600,9 +614,17 @@ def confidence_exit_dataset(
         _confidence_exits(me, inputs[b], threshold, mode, weights, n_pass, seeds[b], qformat)
         for b in _blocks(len(inputs))
     ]
-    probs = np.concatenate([p for p, _, _ in parts])
-    taken = np.concatenate([t for _, t, _ in parts])
-    spent = [flops.flop_main + n_pass * sum(flops.per_exit[:k]) for k in taken]
-    return EarlyExitScores(
-        probs=probs, exits_taken=taken, avg_flops_per_input=float(np.mean(spent)) if spent else 0.0
-    )
+    probs, taken, _ = (np.concatenate(columns) for columns in zip(*parts))
+    return _charged(probs, taken, n_pass, flops)
+
+
+def early_exit_samples(
+    samples: np.ndarray, threshold: float, mode: str, flops: FlopReport
+) -> EarlyExitScores:
+    """The early-exit rule applied to dataset_samples' samples: bit for bit
+    confidence_exit_dataset on the same inputs and seeds, with no head run."""
+    def exit_samples(k: int, live: np.ndarray | None, _) -> np.ndarray:
+        return samples[:, k - 1] if live is None else samples[live, k - 1]
+
+    probs, taken, _ = _early_exit(exit_samples, samples.shape[1], threshold, mode)
+    return _charged(probs, taken, samples.shape[2], flops)

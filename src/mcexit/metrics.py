@@ -4,7 +4,8 @@ Covers the FLOP accounting that separates the one-shot trunk from the
 per-sample exit work, the closed-form cost and reduction-rate formulas
 built on that split, calibration error, and predictive-entropy scores on
 Gaussian noise inputs. score is the one evaluation pipeline: the CLI's
-evaluate and the explorer both predict and score through it.
+evaluate and the explorer both predict and score through it, the
+explorer at all the thresholds of one set of samples in one call.
 """
 
 from __future__ import annotations
@@ -177,8 +178,9 @@ def average_predictive_entropy(
     """
     xs = gaussian_inputs(noise, me.trunk.input_shape)
     seeds = [derive_seed(noise.seed, "mc", i) for i in range(len(xs))]
+    samples = inference.dataset_samples(me, weights, xs, n_pass, seeds, qformat)
     total = 0.0
-    for probs in inference.ensemble_rows(me, weights, xs, n_pass, seeds, qformat):
+    for probs in inference.mean_samples(samples):
         total += predictive_entropy(probs)
     return total / len(xs)
 
@@ -202,27 +204,33 @@ def score(
     noise: NoiseSpec,
     flops: FlopReport,
     qformat: QFormat | None,
-    threshold: float | None,
+    thresholds: Sequence[float | None],
     exit_mode: str,
     n_bins: int,
-) -> Scores:
-    """Accuracy and ECE of the ensemble, or of confidence early exit given
-    a threshold, on data (input i keyed by inference.dataset_seeds), then
-    APE on the noise inputs: the one evaluation pipeline."""
-    early = None
-    if threshold is None:
-        probs = inference.ensemble_dataset(me, weights, data.features, n_pass, seed, qformat)
+) -> list[Scores]:
+    """The one evaluation pipeline: per threshold, accuracy and ECE of the
+    ensemble (None) or of early exit on data (input i keyed by
+    inference.dataset_seeds), and APE on the noise inputs, run once. A lone
+    threshold runs the real early exit; more share one draw of samples."""
+    if len(thresholds) == 1 and thresholds[0] is not None:
+        early = [
+            inference.confidence_exit_dataset(
+                me, weights, data.features, n_pass, seed, thresholds[0], exit_mode, flops, qformat
+            )
+        ]
     else:
-        early = inference.confidence_exit_dataset(
-            me, weights, data.features, n_pass, seed, threshold, exit_mode, flops, qformat
-        )
-        probs = early.probs
-    return Scores(
-        accuracy=accuracy(probs, data.labels),
-        ece=expected_calibration_error(probs, data.labels, n_bins),
-        ape=average_predictive_entropy(me, weights, noise, n_pass, qformat),
-        early_exit=early,
-    )
+        seeds = inference.dataset_seeds(seed, len(data))
+        samples = inference.dataset_samples(me, weights, data.features, n_pass, seeds, qformat)
+        early = [
+            None if t is None else inference.early_exit_samples(samples, t, exit_mode, flops)
+            for t in thresholds
+        ]
+    ape = average_predictive_entropy(me, weights, noise, n_pass, qformat)
+    probs = [inference.mean_samples(samples) if e is None else e.probs for e in early]
+    return [
+        Scores(accuracy(p, data.labels), expected_calibration_error(p, data.labels, n_bins), ape, e)
+        for p, e in zip(probs, early)
+    ]
 
 
 @dataclass(frozen=True)

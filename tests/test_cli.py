@@ -451,7 +451,7 @@ class TestEvaluate:
         ]
         assert cli.main(argv + (["--threshold", threshold] if threshold else [])) == 0
         report = json.loads(out.read_text())
-        (s,) = scored
+        ((s,),) = scored  # one call, at the one threshold
         assert (report["accuracy"], report["ece"], report["ape"]) == (s.accuracy, s.ece, s.ape)
         if threshold is None:
             assert s.early_exit is None and "avg_flops_per_input" not in report
@@ -1133,6 +1133,45 @@ MALFORMED = [
         id="evaluate-noise-count-is-0",
     ),
 ]
+
+
+def _map_count(ws: Path, root: Path, verb: str, count: str) -> list[str]:
+    argv = [verb, "--spec", str(ws / "multi_exit.json"), "--n-sample", count]
+    if verb == "map":
+        return argv + ["--out", str(root / "m.json"), "--pareto", str(root / "p.json")]
+    argv += ["--engines", "2", "--out", str(root / "plan.json")]
+    return argv + ["--report", str(root / "r.txt")]
+
+
+# (argv from the trained workspace and a scratch dir, the flag and its value)
+BAD_COUNTS = [
+    pytest.param(
+        lambda ws, t: _evaluate_on(ws, t, ["--synth", "3,16,30", "--n-pass", "0"]),
+        "--n-pass", "0", id="evaluate-n-pass-is-0",
+    ),
+    pytest.param(
+        lambda ws, t: _evaluate_on(ws, t, ["--synth", "3,16,30", "--n-bins", "0"]),
+        "--n-bins", "0", id="evaluate-n-bins-is-0",
+    ),
+    pytest.param(lambda ws, t: _map_count(ws, t, "map", "0"), "--n-sample", "0", id="map-0"),
+    pytest.param(lambda ws, t: _map_count(ws, t, "map", "-3"), "--n-sample", "-3", id="map-neg"),
+    pytest.param(lambda ws, t: _map_count(ws, t, "emit", "0"), "--n-sample", "0", id="emit-0"),
+    pytest.param(lambda ws, t: _map_count(ws, t, "emit", "-3"), "--n-sample", "-3", id="emit-neg"),
+]
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize("argv, flag, value", BAD_COUNTS)
+    def test_exits_2_naming_the_flag_and_writes_nothing(
+        self, ws, tmp_path, capsys, argv, flag, value
+    ):
+        """A count below 1 is bad usage, not an infeasible budget."""
+        rc = cli.main(argv(ws, tmp_path))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMalformedInput:

@@ -272,7 +272,7 @@ def test_every_output_keeps_the_reference_bytes(net, dropout_case, q):
     for x, s, ref in zip(inputs, seeds, refs):
         assert same_bytes(inference.predict(me, x, n_pass, weights, s, q).samples, ref)
     rows = inference.ensemble_dataset(me, weights, inputs, n_pass, 6, q)
-    ref_rows = inference._mean_samples(ref_samples(me, inputs, n_pass, seeds, weights, q))
+    ref_rows = inference.mean_samples(ref_samples(me, inputs, n_pass, seeds, weights, q))
     assert same_bytes(rows, ref_rows)
     for mode in inference.EXIT_MODES:
         # the median exit-1 confidence, so some inputs go on past exit 1

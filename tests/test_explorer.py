@@ -670,8 +670,9 @@ class TestTrainingAndScoreKeys:
             n_exits=(3,), n_passes=(4, 16), bitwidths=(None, 8), engines=(1, 4),
             thresholds=(None, 0.9),
         )
-        models, scored = [], []
+        models, scored, apes = [], [], []
         train_models, score = train.train_models, metrics.score
+        ape = metrics.average_predictive_entropy
 
         def train_spy(steps, data, cfgs):
             models.extend(cfg.seed for cfg in cfgs)
@@ -681,18 +682,23 @@ class TestTrainingAndScoreKeys:
             scored.append(args)
             return score(*args, **kwargs)
 
+        def ape_spy(*args, **kwargs):
+            apes.append(args)
+            return ape(*args, **kwargs)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(train, "train_models", train_spy)
             mp.setattr(metrics, "score", score_spy)
+            mp.setattr(metrics, "average_predictive_entropy", ape_spy)
             outcome = explorer.explore(
                 net, grids, Constraints(min_accuracy=0.9),
                 Priority(metrics=("accuracy", "ece", "flops"), tolerances={"accuracy": 0.002}),
                 data, default_hardware_model(), EvaluationSettings(epochs=120), seed=3,
             )
-        return net, data, outcome, models, scored
+        return net, data, outcome, models, scored, apes
 
     def test_the_readme_grid_trains_each_training_key_once(self, readme_sweep):
-        *_, outcome, models, _ = readme_sweep
+        *_, outcome, models, _, _ = readme_sweep
         assert len(outcome.results) == 128
         assert sum(r.ok for r in outcome.results) == 96
         ok_keys = {r.point.training_key() for r in outcome.results if r.ok}
@@ -700,11 +706,17 @@ class TestTrainingAndScoreKeys:
         assert len(models) == len(set(models)) == 8
 
     def test_the_readme_grid_scores_each_score_key_once(self, readme_sweep):
-        *_, outcome, _, scored = readme_sweep
-        assert len(scored) == len({r.point.score_key() for r in outcome.results if r.ok}) == 48
+        """Once, in one metrics.score call per sample key that scores both
+        its thresholds and runs APE once."""
+        *_, outcome, _, scored, apes = readme_sweep
+        ok = [r.point for r in outcome.results if r.ok]
+        assert len({dp.score_key() for dp in ok}) == 48
+        assert len(scored) == len({dp.sample_key() for dp in ok}) == 24
+        assert [args[8] for args in scored] == [[None, 0.9]] * 24  # the thresholds
+        assert len(apes) == 24
 
     def test_points_that_differ_only_in_engines_share_one_score(self, readme_sweep):
-        *_, outcome, _, _ = readme_sweep
+        *_, outcome, _, _, _ = readme_sweep
         by_score: dict[str, list[PointResult]] = {}
         for r in outcome.results:
             by_score.setdefault(r.point.score_key(), []).append(r)
@@ -717,7 +729,7 @@ class TestTrainingAndScoreKeys:
                 assert one.latency.cycles > four.latency.cycles
 
     def test_each_point_alone_gives_its_sweep_row(self, readme_sweep):
-        net, data, outcome, _, _ = readme_sweep
+        net, data, outcome, _, _, _ = readme_sweep
         picked = [r for r in outcome.results if r.point.mapping_engines == 4][::9]
         assert {r.point.dropout_kind for r in picked} == {"mcd", "masksembles"}
         alone = [
@@ -772,8 +784,9 @@ def test_explore_builds_each_point_spec_and_the_split_once(monkeypatch):
 
 
 def test_explore_scores_each_point_through_metrics_score(monkeypatch):
-    """explore scores each point that builds and trains with one
-    metrics.score call, and reports what it returns."""
+    """explore scores the points that build and train with one
+    metrics.score call per sample key, at each of its thresholds, and
+    reports what it returns."""
     net = netspec.parse_network(mlp_doc())
     data = datasets.make_blobs(count=40, classes=3, dim=16, seed=8)
     grids = ExplorationGrids(
@@ -797,7 +810,41 @@ def test_explore_scores_each_point_through_metrics_score(monkeypatch):
         seed=7, noise_count=4,
     )
     ok = [r for r in outcome.results if r.ok]
-    assert len(ok) == 4 and len(scored) == 4
-    for r, s in zip(ok, scored):
+    assert len(ok) == 4 and len(scored) == 2
+    for r, s in zip(ok, [s for group in scored for s in group], strict=True):
         assert (r.report.accuracy, r.report.ece, r.report.ape) == (s.accuracy, s.ece, s.ape)
         assert (s.early_exit is None) == (r.point.threshold is None)
+
+
+@pytest.mark.parametrize("exit_mode", ["per_exit", "ensemble_so_far"])
+def test_a_multi_threshold_grid_gives_each_point_its_own_row(exit_mode, monkeypatch):
+    """Points that differ only in threshold share one metrics.score call
+    per sample key, and every ledger row, serial or with --jobs 2, equals
+    the point evaluated alone."""
+    net = netspec.parse_network(mlp_doc())
+    data = datasets.make_blobs(count=60, classes=3, dim=16, seed=8)
+    hw = default_hardware_model()
+    grids = ExplorationGrids(
+        mcd_rates=(0.25,), masksembles_scales=(2.0,), n_exits=(3,), n_passes=(2,),
+        bitwidths=(None, 8), engines=(1, 2), thresholds=(0.9, None, 0.6, 0.95),
+    )
+    settings_ = EvaluationSettings(epochs=5, batch=16, exit_mode=exit_mode)
+    points = explorer.enumerate_design_points(grids)
+    alone = [
+        explorer.evaluate_design_point(dp, net, data, 8, hw, settings_, seed=7) for dp in points
+    ]
+    assert all(r.ok for r in alone), [r.error for r in alone]
+    scored = []
+    score = metrics.score
+    monkeypatch.setattr(metrics, "score", lambda *a: scored.append(a[8]) or score(*a))
+    rows = []
+    for jobs in (1, 2):
+        outcome = explorer.explore(
+            net, grids, Constraints(min_accuracy=0.0), Priority(metrics=("accuracy",)),
+            data, hw, settings_, seed=7, noise_count=8, jobs=jobs,
+        )
+        rows.append(explorer.results_to_rows(outcome.results))
+    assert rows[0] == rows[1] == explorer.results_to_rows(alone)
+    assert scored == [[0.9, None, 0.6, 0.95]] * 8  # 4 sample keys, twice
+    early = {r["threshold"]: r.get("flops_fraction_early_exit") for r in rows[0][:8]}
+    assert early[None] is None and len(set(early.values())) > 2

@@ -630,7 +630,7 @@ class TestMonteCarloCalls:
         cached = inference.run_trunk(me, inputs[0], weights)
         calls = [
             (1, lambda: inference.predict(me, inputs[0], 4, weights, 1)),
-            (5, lambda: inference.ensemble_rows(me, weights, inputs, 4, seeds)),
+            (5, lambda: inference.dataset_samples(me, weights, inputs, 4, seeds)),
             (1, lambda: inference.confidence_exit(me, inputs[0], 1 - 1e-9, "per_exit", weights, 4, 1)),
             (1, lambda: inference.run_exit_samples(cached, me, 2, 4, weights, 1)),
         ]
@@ -645,7 +645,7 @@ class TestMonteCarloCalls:
         counter = CountingHashlib()
         monkeypatch.setattr(dropout, "hashlib", counter)
         inputs = rng(5).standard_normal((5, 16)).astype(np.float32)
-        inference.ensemble_rows(me, weights, inputs, 4, [1, 2, 3, 4, 5])
+        inference.dataset_samples(me, weights, inputs, 4, [1, 2, 3, 4, 5])
         assert counter.blake2b_calls == 0
 
     def test_a_head_without_its_softmax_is_refused(self):
@@ -663,7 +663,7 @@ class TestMonteCarloCalls:
         none = np.zeros((0, 16), np.float32)
         flops = metrics.count_flops(me)
         assert inference.ensemble_dataset(me, weights, none, 4, 1, q).shape == (0, 3)
-        assert inference.ensemble_rows(me, weights, none, 4, [], q).shape == (0, 3)
+        assert inference.dataset_samples(me, weights, none, 4, [], q).shape == (0, 3, 4, 3)
         for mode in inference.EXIT_MODES:
             scores = inference.confidence_exit_dataset(me, weights, none, 4, 1, 0.5, mode, flops, q)
             assert scores.probs.shape == (0, 3)
@@ -714,3 +714,93 @@ class TestMonteCarloCalls:
             for outputs in results[who]:
                 for i, out in zip(order, outputs):
                     assert out.tobytes() == serial[i].tobytes(), (who, ops[i])
+
+
+SHARED_RULE_CONFIGS = {
+    "mcd_element": DropoutConfig(kind="mcd", keep_rate=0.5, granularity="element", seed=2),
+    "mcd_channel": DropoutConfig(kind="mcd", keep_rate=0.5, granularity="channel", seed=2),
+    "mcd_inverted": DropoutConfig(kind="mcd", keep_rate=0.5, inverted=True, seed=2),
+    "masksembles": DropoutConfig(kind="masksembles", num_masks=4, scale=2.0, seed=2),
+}
+
+
+class TestSharedEarlyExit:
+    """early_exit_samples applies the early-exit rule to the samples of
+    dataset_samples, drawn once for every threshold; it must answer bit
+    for bit as confidence_exit_dataset, which runs each exit only on the
+    inputs still undecided."""
+
+    @pytest.fixture(scope="class", params=list(SHARED_RULE_CONFIGS))
+    def net(self, request):
+        """A conv net with rank-3 dropout sites, where element and channel
+        granularity differ, its weights and 12 inputs."""
+        me = netspec.place_exits(netspec.parse_network(lenet_doc()))
+        me = netspec.insert_dropout(me, SHARED_RULE_CONFIGS[request.param], 1)
+        inputs = rng(9).standard_normal((12, 1, 12, 12)).astype(np.float32)
+        return me, runtime.init_weights(netspec.all_layers(me), 4), inputs
+
+    @staticmethod
+    def confidences(samples, mode):
+        """Each input's confidence at every exit under mode, as the rule
+        computes it."""
+        n, n_exit, n_pass, classes = samples.shape
+        out = []
+        for k in range(1, n_exit + 1):
+            scored = samples[:, k - 1] if mode == "per_exit" else samples[:, :k]
+            scored = scored.reshape(n, -1, classes)
+            out.append((np.add.reduce(scored, axis=1) / scored.shape[1]).max(axis=1))
+        return np.stack(out, axis=1)
+
+    @pytest.mark.parametrize("bits", [None, 8, 16], ids=["float", "q8", "q16"])
+    @pytest.mark.parametrize("mode", inference.EXIT_MODES)
+    def test_equals_confidence_exit_dataset(self, net, bits, mode, monkeypatch):
+        monkeypatch.setattr(inference, "BLOCK_INPUTS", 5)  # 12 inputs cross two block edges
+        me, weights, inputs = net
+        q = runtime.datapath_format(bits, 3)
+        flops = metrics.count_flops(me)
+        seeds = inference.dataset_seeds(6, len(inputs))
+        samples = inference.dataset_samples(me, weights, inputs, 3, seeds, q)
+        assert samples.shape == (12, 3, 3, 3)
+        conf = self.confidences(samples, mode)
+        achieved = float(np.sort(conf[:, 0])[6])  # an exit-1 confidence some input reaches
+        before_last = float(conf[:, :-1].max())
+        assert before_last < 1.0
+        thresholds = {
+            "achieved": achieved,
+            "all_at_exit_1": float(conf[:, 0].min()),
+            "none_before_the_last": float(np.nextafter(before_last, 1.0)),
+        }
+        for name, t in thresholds.items():
+            shared = inference.early_exit_samples(samples, t, mode, flops)
+            alone = inference.confidence_exit_dataset(me, weights, inputs, 3, 6, t, mode, flops, q)
+            assert shared.probs.tobytes() == alone.probs.tobytes(), name
+            assert shared.exits_taken.tobytes() == alone.exits_taken.tobytes(), name
+            assert shared.avg_flops_per_input == alone.avg_flops_per_input, name
+            taken = shared.exits_taken
+            if name == "achieved":  # the rule is >=: an input at exactly t answers at exit 1
+                assert np.all(taken[conf[:, 0] == t] == 1) and taken.max() > 1
+            elif name == "all_at_exit_1":
+                assert np.all(taken == 1)
+            else:
+                assert np.all(taken == me.n_exit)
+
+    @pytest.mark.parametrize("mode", inference.EXIT_MODES)
+    def test_zero_inputs(self, net, mode):
+        me, weights, inputs = net
+        flops = metrics.count_flops(me)
+        samples = inference.dataset_samples(me, weights, inputs[:0], 3, [])
+        assert samples.shape == (0, 3, 3, 3)
+        shared = inference.early_exit_samples(samples, 0.5, mode, flops)
+        alone = inference.confidence_exit_dataset(me, weights, inputs[:0], 3, 6, 0.5, mode, flops)
+        assert shared.probs.shape == alone.probs.shape == (0, 3)
+        assert shared.exits_taken.shape == alone.exits_taken.shape == (0,)
+        assert shared.avg_flops_per_input == alone.avg_flops_per_input == 0.0
+
+    def test_threshold_and_mode_are_checked(self, net):
+        me, weights, inputs = net
+        samples = inference.dataset_samples(me, weights, inputs[:2], 3, [1, 2])
+        flops = metrics.count_flops(me)
+        with pytest.raises(ValueError, match="threshold must be in"):
+            inference.early_exit_samples(samples, 1.0, "per_exit", flops)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            inference.early_exit_samples(samples, 0.5, "nope", flops)

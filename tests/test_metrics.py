@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lenet_doc, rng
-from mcexit import documents, metrics, netspec, runtime
+from mcexit import documents, inference, metrics, netspec, runtime
 from mcexit.datasets import NoiseSpec
 from mcexit.metrics import FlopReport
 
@@ -264,6 +264,66 @@ class TestAveragePredictiveEntropy:
         a = metrics.average_predictive_entropy(mcd_spec, mcd_weights, noise, n_pass=2)
         b = metrics.average_predictive_entropy(mcd_spec, mcd_weights, noise, n_pass=2)
         assert a == b
+
+
+class TestScore:
+    """metrics.score scores one group of thresholds: one Scores each, and
+    APE once."""
+
+    @pytest.mark.parametrize("bits", [None, 8], ids=["float", "q8"])
+    @pytest.mark.parametrize("mode", ["per_exit", "ensemble_so_far"])
+    def test_a_group_scores_as_each_threshold_alone(
+        self, mcd_spec, mcd_weights, blob_split, bits, mode, monkeypatch
+    ):
+        _, test = blob_split
+        q = runtime.datapath_format(bits, 3)
+        noise = NoiseSpec(mean=0.0, std=1.0, count=6, seed=3)
+        flops = metrics.count_flops(mcd_spec)
+        args = (mcd_spec, mcd_weights, test, 2, 5, noise, flops, q)
+        thresholds = [0.9, None, 0.6, 0.99]
+        alone = [metrics.score(*args, [t], mode, 10)[0] for t in thresholds]
+        apes = []
+        ape = metrics.average_predictive_entropy
+        monkeypatch.setattr(
+            metrics, "average_predictive_entropy", lambda *a: apes.append(a) or ape(*a)
+        )
+        group = metrics.score(*args, thresholds, mode, 10)
+        assert len(apes) == 1
+        assert [s.early_exit is None for s in group] == [False, True, False, False]
+        for t, g, a in zip(thresholds, group, alone, strict=True):
+            assert (g.accuracy, g.ece, g.ape) == (a.accuracy, a.ece, a.ape), t
+            if t is not None:
+                assert g.early_exit.probs.tobytes() == a.early_exit.probs.tobytes()
+                assert g.early_exit.exits_taken.tobytes() == a.early_exit.exits_taken.tobytes()
+                assert g.early_exit.avg_flops_per_input == a.early_exit.avg_flops_per_input
+        taken = [s.early_exit.exits_taken.mean() for s in (group[2], group[0], group[3])]
+        assert taken == sorted(taken) and taken[0] < taken[-1]  # a higher bar goes deeper
+
+
+    @pytest.mark.parametrize(
+        "thresholds, runs",
+        [([0.9], ["early_exit"]), ([None], ["samples"]), ([None, 0.9, 0.6], ["samples"])],
+    )
+    def test_a_lone_threshold_runs_the_real_early_exit(
+        self, mcd_spec, mcd_weights, blob_split, thresholds, runs, monkeypatch
+    ):
+        """Only a group draws every exit's samples for early exit; a lone
+        threshold runs exits only as deep as each input goes."""
+        calls = []
+
+        def spy(name, tag):
+            original = getattr(inference, name)
+            monkeypatch.setattr(inference, name, lambda *a: calls.append(tag) or original(*a))
+
+        spy("confidence_exit_dataset", "early_exit")
+        spy("dataset_samples", "samples")
+        noise = NoiseSpec(mean=0.0, std=1.0, count=4, seed=3)
+        _, test = blob_split
+        flops = metrics.count_flops(mcd_spec)
+        metrics.score(
+            mcd_spec, mcd_weights, test, 2, 5, noise, flops, None, thresholds, "per_exit", 10
+        )
+        assert calls == runs + ["samples"]  # the APE's
 
 
 class TestReportAndWriters:

@@ -151,10 +151,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    for flag in ("n_pass", "n_bins", "noise_count"):
+    for flag in ("n_bins", "noise_count"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}")
     me = netspec.load_multi_exit(args.spec)
+    inference.check_n_pass(me, args.n_pass, "--n-pass")
     weights = runtime.load_weights(args.weights)
     data = _load_data(args, me)
     qformat = runtime.datapath_format(args.bits, args.int_bits)
@@ -329,14 +330,16 @@ def cmd_map(args: argparse.Namespace) -> int:
     hw = mapping.load_hardware_model(args.hardware)
     flops = metrics.count_flops(me)
     n_sample = _sample_count(args, me)
+    plan = None
+    if args.engines is not None:  # checked before any file is written
+        plan = mapping.build_mapping(n_sample, args.engines, "--engines")
 
     frontier = mapping.pareto_mappings(n_sample, flops, hw, me)
     if args.pareto:
         write_json(args.pareto, [_mapping_doc(*point) for point in frontier])
         print(f"wrote {args.pareto} ({len(frontier)} frontier point(s))")
 
-    if args.engines is not None:
-        plan = mapping.build_mapping(n_sample, args.engines)
+    if plan is not None:
         latency = mapping.estimate_latency(plan, flops, hw)
         res = mapping.estimate_resources(plan, me, hw)
     else:
@@ -366,7 +369,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     flops = metrics.count_flops(me)
     n_sample = _sample_count(args, me)
 
-    plan = mapping.build_mapping(n_sample, args.engines)
+    plan = mapping.build_mapping(n_sample, args.engines, "--engines")
     latency = mapping.estimate_latency(plan, flops, hw)
     res = mapping.estimate_resources(plan, me, hw)
 

@@ -7,11 +7,19 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .documents import ParseError, field_names, fields, read_json
 from .dropout import derive_seed
+
+
+# Inputs are drawn as noise and run through the network (inference) this
+# many at a time, which bounds the memory of a dataset call; outputs do
+# not depend on it, since every draw comes from one stream and every
+# runtime layer is batch invariant.
+BLOCK_INPUTS = 64
 
 
 @dataclass(frozen=True)
@@ -112,13 +120,40 @@ def noise_like(data: Dataset, count: int, seed: int) -> NoiseSpec:
     return NoiseSpec(mean=_nested_tuple(mean), std=_nested_tuple(std), count=count, seed=seed)
 
 
-def gaussian_inputs(spec: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:
-    """spec.count i.i.d. Gaussian tensors of the given shape, float32."""
+def _noise_block(
+    gen: np.random.Generator, mean: np.ndarray, std: np.ndarray, count: int
+) -> np.ndarray:
+    """The generator's next count inputs, scaled and shifted in place in
+    float64, narrowed to float32; the float64 draws die on return."""
+    draws = gen.standard_normal(size=(count, *mean.shape))
+    np.multiply(std, draws, out=draws)
+    np.add(mean, draws, out=draws)
+    return draws.astype(np.float32)
+
+
+def noise_blocks(spec: NoiseSpec, shape: tuple[int, ...], block: int) -> Iterator[np.ndarray]:
+    """spec.count i.i.d. Gaussian tensors of the given shape, float32, in
+    consecutive blocks of block inputs. Every block comes from the one
+    generator, so the blocks joined are the set drawn at once, bit for
+    bit, whatever block is; memory holds one block, not the set."""
     gen = np.random.Generator(np.random.Philox(key=derive_seed(spec.seed, "noise")))
     mean = np.broadcast_to(np.asarray(spec.mean, dtype=np.float64), shape)
     std = np.broadcast_to(np.asarray(spec.std, dtype=np.float64), shape)
-    draws = gen.standard_normal(size=(spec.count, *shape))
-    return (mean + std * draws).astype(np.float32)
+    for start in range(0, spec.count, block):
+        yield _noise_block(gen, mean, std, min(block, spec.count - start))
+
+
+def gaussian_inputs(spec: NoiseSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """spec.count i.i.d. Gaussian tensors of the given shape, float32,
+    drawn one BLOCK_INPUTS block at a time (noise_blocks) into the result,
+    so it holds the float32 set and one block's float64 draws."""
+    out = np.empty((spec.count, *shape), dtype=np.float32)
+    start = 0
+    for block in noise_blocks(spec, shape, BLOCK_INPUTS):
+        out[start : start + len(block)] = block
+        start += len(block)
+        del block  # so the next block is drawn without this one alive
+    return out
 
 
 def save_dataset(data: Dataset, path: str | Path) -> None:

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 import numpy as np
 
 from . import netspec, runtime
+from .datasets import BLOCK_INPUTS
 from .documents import fields
 from .dropout import (
     DropoutConfig,
@@ -132,12 +133,6 @@ def site_mask_sets(me: MultiExitSpec) -> dict[str, MaskSet]:
     """Deterministic mask tables for every masksembles dropout site."""
     heads = _table(me, me.trunk.input_shape).heads
     return {s.id: m for h in heads for s, m in zip(h.steps, h.masks) if m is not None}
-
-
-# Inputs run through the network this many at a time, which bounds the
-# activation memory of a dataset call; outputs do not depend on it, since
-# every runtime layer is batch invariant.
-BLOCK_INPUTS = 64
 
 
 def _grid_walk(kinds: list[str], on_grid: bool, sample_keeps_grid: bool | None) -> tuple:
@@ -277,13 +272,14 @@ def run_trunk(
     return {ex.attach_after: cached[ex.attach_after][0] for ex in me.exits}
 
 
-def _check_n_pass(me: MultiExitSpec, n_pass: int) -> None:
+def check_n_pass(me: MultiExitSpec, n_pass: int, name: str = "n_pass") -> None:
+    """Reject a pass count me cannot run; the error calls it name."""
     if n_pass < 1:
-        raise ValueError(f"n_pass must be >= 1, got {n_pass}")
+        raise ValueError(f"{name} must be >= 1, got {n_pass}")
     cfg = me.dropout
     if cfg is not None and cfg.kind == "masksembles" and n_pass > cfg.num_masks:
         raise ValueError(
-            f"n_pass {n_pass} exceeds the {cfg.num_masks} available masks; "
+            f"{name} {n_pass} exceeds the {cfg.num_masks} available masks; "
             f"each pass consumes one distinct mask"
         )
 
@@ -325,7 +321,7 @@ def _logits(
             if suffixes is None:  # threads that race here store equal tuples
                 suffixes = tails[n_pass] = stream_suffixes(n_pass, step.id)
             x = mcd_passes(x, cfg.keep_rate, cfg.granularity, prefixes, suffixes, cfg.inverted)
-        else:  # _check_n_pass keeps every pass within the table
+        else:  # check_n_pass keeps every pass within the table
             x = masksembles_passes(x, n_pass, mask)
         if run and qformat is not None:
             x = runtime.quantize(x, qformat, in_place=True)  # the sampler's new array
@@ -352,7 +348,7 @@ def run_exit_samples(
     feature. Returns the float64 probability vectors, one row per pass."""
     if not 1 <= exit_index <= me.n_exit:
         raise ValueError(f"exit_index must be in [1, {me.n_exit}], got {exit_index}")
-    _check_n_pass(me, n_pass)
+    check_n_pass(me, n_pass)
     ex = me.exits[exit_index - 1]
     if ex.attach_after not in cached:
         raise KeyError(f"no cached feature for attach point {ex.attach_after!r}")
@@ -379,7 +375,7 @@ def _samples(
     """Every exit's n_pass samples for a batch of inputs:
     (inputs, n_exit, n_pass, class_count), all exits' logits through one
     softmax."""
-    _check_n_pass(me, n_pass)
+    check_n_pass(me, n_pass)
     cached: CachedFeatures = {None: np.asarray(inputs, dtype=np.float32)}
     table = _table(me, cached[None].shape[1:])
     _trunk(table, cached, -1, len(table.trunk) - 1, weights, qformat, flop_counter)
@@ -486,7 +482,7 @@ def _confidence_exits(
     """confidence_exit for a batch, by _early_exit: before exit k's head
     runs once on the undecided inputs, the trunk advances to its attach
     point on them alone, so an input that exits at k runs no trunk layer past it."""
-    _check_n_pass(me, n_pass)
+    check_n_pass(me, n_pass)
     cached: CachedFeatures = {None: np.asarray(inputs, dtype=np.float32)}
     table = _table(me, cached[None].shape[1:])
     prefixes = _prefixes(me, seeds)

@@ -115,16 +115,17 @@ class ResourceEstimate:
     fits: bool
 
 
-def build_mapping(n_sample: int, n_engines: int) -> MappingPlan:
+def build_mapping(n_sample: int, n_engines: int, name: str = "n_engines") -> MappingPlan:
     """Round-robin samples onto engines; rounds = ceil(n_sample/n_engines).
 
     n_engines == n_sample is the fully spatial mapping (one round),
     n_engines == 1 the fully temporal one, anything between is a hybrid.
+    An engine count out of range is rejected; the error calls it name.
     """
     if n_sample < 1:
         raise ValueError("n_sample must be >= 1")
     if not 1 <= n_engines <= n_sample:
-        raise ValueError(f"n_engines must be in [1, {n_sample}], got {n_engines}")
+        raise ValueError(f"{name} must be in [1, {n_sample}], got {n_engines}")
     assignment = tuple(
         tuple(range(e, n_sample, n_engines)) for e in range(n_engines)
     )

@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import inference, netspec
-from .datasets import Dataset, NoiseSpec, gaussian_inputs
+from .datasets import Dataset, NoiseSpec, noise_blocks
 from .dropout import derive_seed
 from .netspec import LayerSpec, MultiExitSpec
 from .runtime import QFormat, WeightStore
@@ -175,14 +175,19 @@ def average_predictive_entropy(
 
     High values mean the network admits uncertainty on inputs that look
     nothing like data; each input gets its own derived sampling seed.
+    The noise is drawn and scored one BLOCK_INPUTS block at a time
+    (noise_blocks), and the entropies are summed in input order, so memory
+    holds one block and its samples whatever the noise count.
     """
-    xs = gaussian_inputs(noise, me.trunk.input_shape)
-    seeds = [derive_seed(noise.seed, "mc", i) for i in range(len(xs))]
-    samples = inference.dataset_samples(me, weights, xs, n_pass, seeds, qformat)
     total = 0.0
-    for probs in inference.mean_samples(samples):
-        total += predictive_entropy(probs)
-    return total / len(xs)
+    start = 0
+    for xs in noise_blocks(noise, me.trunk.input_shape, inference.BLOCK_INPUTS):
+        seeds = [derive_seed(noise.seed, "mc", i) for i in range(start, start + len(xs))]
+        samples = inference.dataset_samples(me, weights, xs, n_pass, seeds, qformat)
+        for probs in inference.mean_samples(samples):
+            total += predictive_entropy(probs)
+        start += len(xs)
+    return total / noise.count
 
 
 @dataclass(frozen=True)

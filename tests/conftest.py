@@ -25,6 +25,29 @@ def mlp_doc(dim: int = 16, classes: int = 3) -> dict:
     }
 
 
+def conv32_doc() -> dict:
+    """3x32x32 input, three conv(3x3, pad 1)+relu+max_pool stages of
+    16/32/32 channels, then dense 512->64->10: four exits."""
+    layers: list[dict] = []
+    cin = 3
+    for i, cout in enumerate((16, 32, 32), start=1):
+        conv = {"in_channels": cin, "out_channels": cout, "kernel_h": 3, "kernel_w": 3}
+        layers += [
+            {"id": f"conv{i}", "kind": "conv2d", "params": {**conv, "padding": 1}},
+            {"id": f"relu{i}", "kind": "relu"},
+            {"id": f"pool{i}", "kind": "max_pool", "params": {"window": 2}},
+        ]
+        cin = cout
+    layers += [
+        {"id": "flat", "kind": "flatten"},
+        {"id": "fc1", "kind": "dense", "params": {"in_features": 512, "out_features": 64}},
+        {"id": "relu4", "kind": "relu"},
+        {"id": "fc2", "kind": "dense", "params": {"in_features": 64, "out_features": 10}},
+        {"id": "sm", "kind": "softmax"},
+    ]
+    return {"input_shape": [3, 32, 32], "layers": layers}
+
+
 def lenet_doc() -> dict:
     """Conv/pool/conv/pool/dense stack in the classic image-classifier
     shape, 10 layers."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import mlp_doc
+from conftest import conv32_doc, mlp_doc
 from mcexit import cli, datasets, documents, emitter, explorer, mapping, metrics, netspec, runtime
 from mcexit.dropout import DropoutConfig
 
@@ -23,29 +23,6 @@ def write_network(root: Path) -> Path:
     path = root / "network.json"
     path.write_text(json.dumps(mlp_doc()) + "\n")
     return path
-
-
-def conv32_doc() -> dict:
-    """3x32x32 input, three conv(3x3, pad 1)+relu+max_pool stages of
-    16/32/32 channels, then dense 512->64->10: four exits."""
-    layers: list[dict] = []
-    cin = 3
-    for i, cout in enumerate((16, 32, 32), start=1):
-        conv = {"in_channels": cin, "out_channels": cout, "kernel_h": 3, "kernel_w": 3}
-        layers += [
-            {"id": f"conv{i}", "kind": "conv2d", "params": {**conv, "padding": 1}},
-            {"id": f"relu{i}", "kind": "relu"},
-            {"id": f"pool{i}", "kind": "max_pool", "params": {"window": 2}},
-        ]
-        cin = cout
-    layers += [
-        {"id": "flat", "kind": "flatten"},
-        {"id": "fc1", "kind": "dense", "params": {"in_features": 512, "out_features": 64}},
-        {"id": "relu4", "kind": "relu"},
-        {"id": "fc2", "kind": "dense", "params": {"in_features": 64, "out_features": 10}},
-        {"id": "sm", "kind": "softmax"},
-    ]
-    return {"input_shape": [3, 32, 32], "layers": layers}
 
 
 def write_hardware(root: Path, name: str = "hw.json", dsp_budget: float = 100.0) -> Path:
@@ -1172,6 +1149,37 @@ class TestBadCounts:
         assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("verb", ["map", "emit"])
+    @pytest.mark.parametrize("engines", ["0", "13"])
+    def test_engines_outside_the_sample_count_exit_2_before_any_file(
+        self, ws, tmp_path, capsys, verb, engines
+    ):
+        """--engines is checked against [1, n_sample] before map writes its
+        frontier; argparse keeps the last --engines given."""
+        rc = cli.main(_map_count(ws, tmp_path, verb, "12") + ["--engines", engines])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: --engines must be in [1, 12], got {engines}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_n_pass_past_the_masks_names_the_flag(self, tmp_path, capsys):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        spec, weights = inputs / "multi_exit.json", inputs / "w.json"
+        argv = ["transform", "--network", str(write_network(inputs)), "--out", str(spec)]
+        assert cli.main(argv + ["--dropout", "masksembles", "--num-masks", "4"]) == 0
+        me = netspec.load_multi_exit(spec)
+        runtime.save_weights(runtime.init_weights(netspec.all_layers(me), 1), weights)
+        capsys.readouterr()
+        argv = ["evaluate", "--spec", str(spec), "--weights", str(weights), "--synth", "3,16,30"]
+        rc = cli.main(argv + ["--n-pass", "5", "--out", str(tmp_path / "r.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: --n-pass 5 exceeds the 4 available masks; ")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
 
 class TestMalformedInput:

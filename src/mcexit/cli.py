@@ -225,6 +225,8 @@ def _config_dataset(doc: Any) -> Dataset:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     required = ("network", "dataset", "constraints", "priority")
     config = fields(read_json(args.config), "config", CONFIG_KEYS, required)
     network = config["network"]
@@ -245,6 +247,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
         value = config.get(key, 0)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParseError(f"config key {key!r} must be an integer, got {type(value).__name__}")
+    noise_count = config.get("noise_count", 64)
+    if noise_count < 1:
+        raise ParseError(f"config key 'noise_count' must be >= 1, got {noise_count}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
 
     outcome = explorer.explore(
@@ -256,7 +261,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         hw,
         settings,
         seed,
-        noise_count=config.get("noise_count", 64),
+        noise_count=noise_count,
         jobs=args.jobs,
     )
 

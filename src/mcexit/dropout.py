@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -103,12 +102,6 @@ class DropoutConfig:
         return cls(**fields(doc, "dropout config", field_names(cls), ("kind",)))
 
 
-def config_digest(cfg: DropoutConfig) -> str:
-    """Stable hex digest of a dropout configuration, for provenance fields."""
-    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def stream_key(seed: int, sample_index: int, layer_id: str) -> int:
     """The 128-bit Philox key of the stream (seed, sample_index, layer_id):
     blake2b-128 of "seed|sample_index|layer_id", read little-endian."""
@@ -116,13 +109,6 @@ def stream_key(seed: int, sample_index: int, layer_id: str) -> int:
         f"{int(seed)}|{int(sample_index)}|{layer_id}".encode(), digest_size=16
     ).digest()
     return int.from_bytes(digest, "little")
-
-
-def stream_keys(seeds: Sequence[int], passes: Sequence[int], layer_id: str) -> list[int]:
-    """stream_key(seeds[r], passes[r], layer_id) for every row r."""
-    if len(seeds) != len(passes):
-        raise ValueError(f"{len(seeds)} seeds for {len(passes)} passes")
-    return [stream_key(seed, sample_index, layer_id) for seed, sample_index in zip(seeds, passes)]
 
 
 def stream_prefixes(seeds: Sequence[int]) -> list[Any]:
@@ -212,16 +198,6 @@ def keyed_generator(key: int) -> np.random.Generator:
     return gen
 
 
-def stream_uniforms(keys: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
-    """Row r holds the first uniforms of the stream with Philox key
-    keys[r], bit for bit what RngStream(...).uniform(shape) returns for
-    the triple that stream_key maps to keys[r]."""
-    out = np.empty((len(keys), *shape))
-    for row, key in zip(out, keys):
-        keyed_generator(key).random(out=row)
-    return out
-
-
 def site_uniforms(
     prefixes: Sequence[Any], suffixes: Sequence[bytes], shape: tuple[int, ...]
 ) -> np.ndarray:
@@ -286,23 +262,6 @@ def mcd_forward(
     return _drop(x, rng.uniform(_draw_shape(x.shape, granularity)), keep_rate, inverted)
 
 
-def mcd_forward_batch(
-    x: np.ndarray,
-    keep_rate: float,
-    granularity: str,
-    keys: Sequence[int],
-    inverted: bool = False,
-) -> np.ndarray:
-    """Monte-Carlo dropout on a batch: row r is mcd_forward of x[r] with a
-    fresh stream whose stream_key is keys[r]."""
-    _check_mcd(keep_rate, granularity)
-    x = np.asarray(x)
-    if len(keys) != len(x):
-        raise ValueError(f"{len(keys)} stream keys for {len(x)} rows")
-    u = stream_uniforms(keys, _draw_shape(x.shape[1:], granularity))
-    return _drop(x, u, keep_rate, inverted)
-
-
 def mcd_passes(
     x: np.ndarray,
     keep_rate: float,
@@ -311,8 +270,8 @@ def mcd_passes(
     suffixes: Sequence[bytes],
     inverted: bool = False,
 ) -> np.ndarray:
-    """mcd_forward_batch of input-major rows, row i * len(suffixes) + p
-    drawn from the stream that site_uniforms gives it."""
+    """mcd_forward of input-major rows, row i * len(suffixes) + p drawn
+    from the stream that site_uniforms gives it."""
     u = site_uniforms(prefixes, suffixes, _draw_shape(x.shape[1:], granularity))
     return _drop(x, u, keep_rate, inverted)
 
@@ -350,24 +309,6 @@ class MaskSet:
             and self.scale == other.scale
             and np.array_equal(self.masks, other.masks)
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "feature_count": self.feature_count,
-            "num_masks": self.num_masks,
-            "scale": self.scale,
-            "masks": self.masks.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Any) -> "MaskSet":
-        allowed = ("feature_count", "num_masks", "scale", "masks")
-        doc = fields(doc, "mask set", allowed, ("feature_count", "scale", "masks"))
-        masks = np.asarray(doc["masks"], dtype=np.uint8)
-        if "num_masks" in doc and int(doc["num_masks"]) != masks.shape[0]:
-            raise ValueError("num_masks disagrees with mask table height")
-        return cls(masks=masks, feature_count=int(doc["feature_count"]), scale=float(doc["scale"]))
-
 
 def generate_masks(feature_count: int, num_masks: int, scale: float) -> MaskSet:
     """Build the deterministic overlapping-window mask table.
@@ -408,43 +349,24 @@ def masksembles_forward(x: np.ndarray, mask_index: int, masks: MaskSet) -> np.nd
     Rank-3 inputs are masked per channel (the mask broadcasts over the
     spatial axes); rank-1 inputs are masked per element.
     """
-    return masksembles_forward_batch(np.asarray(x)[None], [mask_index], masks)[0]
-
-
-def masksembles_forward_batch(
-    x: np.ndarray, mask_indices: Sequence[int], masks: MaskSet
-) -> np.ndarray:
-    """masksembles_forward on a batch: row r gets mask mask_indices[r]."""
-    idx = np.asarray(mask_indices, dtype=np.int64)
-    bad = idx[(idx < 0) | (idx >= masks.num_masks)]
-    if bad.size:
-        raise ValueError(
-            f"mask_index {int(bad[0])} out of range for {masks.num_masks} masks"
-        )
+    index = int(mask_index)
+    if not 0 <= index < masks.num_masks:
+        raise ValueError(f"mask_index {index} out of range for {masks.num_masks} masks")
     x = np.asarray(x)
-    if len(idx) != len(x):
-        raise ValueError(f"{len(idx)} mask indices for {len(x)} rows")
-    rows = masks.masks[idx]
-    if x.ndim == 4:
-        if x.shape[1] != masks.feature_count:
-            raise ValueError(
-                f"mask width {masks.feature_count} does not match channel count {x.shape[1]}"
-            )
-        mult = rows[:, :, None, None]
-    elif x.ndim == 2:
-        if x.shape[1] != masks.feature_count:
-            raise ValueError(
-                f"mask width {masks.feature_count} does not match feature count {x.shape[1]}"
-            )
-        mult = rows
-    else:
-        raise ValueError(f"masksembles expects rank-1 or rank-3 input, got rank {x.ndim - 1}")
-    return (x * mult).astype(x.dtype, copy=False)
+    if x.ndim not in (1, 3):
+        raise ValueError(f"masksembles expects rank-1 or rank-3 input, got rank {x.ndim}")
+    if x.shape[0] != masks.feature_count:
+        axis = "channel" if x.ndim == 3 else "feature"
+        raise ValueError(
+            f"mask width {masks.feature_count} does not match {axis} count {x.shape[0]}"
+        )
+    mask = masks.masks[index]
+    return (x * (mask[:, None, None] if x.ndim == 3 else mask)).astype(x.dtype, copy=False)
 
 
 def masksembles_passes(x: np.ndarray, n_pass: int, masks: MaskSet) -> np.ndarray:
-    """masksembles_forward_batch of input-major rows, row i * n_pass + p
-    taking mask p (p < masks.num_masks), as one broadcast multiply."""
+    """masksembles_forward of input-major rows, row i * n_pass + p taking
+    mask p (p < masks.num_masks), as one broadcast multiply."""
     rows = masks.masks[:n_pass].reshape(n_pass, -1, *(1,) * (x.ndim - 2))
     out = x.reshape(len(x) // n_pass, n_pass, *x.shape[1:]) * rows
     return out.astype(x.dtype, copy=False).reshape(x.shape)

@@ -8,8 +8,8 @@ ranks lexicographically with tie tolerances.
 
 A point's dropout, training, evaluation and noise seeds come from its
 training key (DesignPoint.training_key): only the knobs that the network
-and its trainer read. train_points is the one place that builds, slices
-or trains a network, once per training key; keys whose networks differ
+and its trainer read. train_points is the one place that builds and
+trains a network, once per training key; keys whose networks differ
 only in their dropout config train together in one stacked pass, each to
 the weights it would get alone. Each score key (every knob but the
 engine count, which cannot change a sample) is then scored once through
@@ -197,21 +197,15 @@ class EvaluationSettings:
     batch: int = 32
     test_fraction: float = 0.3
     exit_mode: str = "ensemble_so_far"
-    channel_mode: str = "retrain"  # or "slice"
     n_bins: int = 15
-    base_weights: runtime.WeightStore | None = None
 
     def __post_init__(self) -> None:
-        if self.channel_mode not in ("retrain", "slice"):
-            raise ValueError("channel_mode must be 'retrain' or 'slice'")
         if self.exit_mode not in inference.EXIT_MODES:
             raise ValueError(f"exit_mode must be one of {inference.EXIT_MODES}")
 
     @classmethod
     def from_dict(cls, doc: Any) -> "EvaluationSettings":
-        """Every field but base_weights, which a JSON document cannot hold."""
-        doc = fields(doc, "settings", field_names(cls) - {"base_weights"})
-        return cls(**typed(doc, "settings", cls))
+        return cls(**typed(fields(doc, "settings", field_names(cls)), "settings", cls))
 
 
 @dataclass(frozen=True)
@@ -430,17 +424,15 @@ def train_points(
     seed: int,
 ) -> list[TrainedPoint]:
     """The data split, and each point's spec and weights: the one place
-    that builds, slices and trains.
+    that builds and trains.
 
-    Each training key is built, and sliced or trained, once, and every
-    point that shares it gets that spec and those weights. In
-    channel_mode 'slice' a narrowed key slices the full network's
-    settings.base_weights. Every other key trains, and keys whose specs
-    differ only in their dropout config train together in one
-    train_models call, each to the weight bytes train_toy gives it alone.
-    A key that cannot be built, sliced or trained gives its points its
-    error, as does one whose spec has fewer classes than the labels of
-    data name: the labels are checked once for each class count.
+    Each training key is built and trained once, and every point that
+    shares it gets that spec and those weights. Keys whose specs differ
+    only in their dropout config train together in one train_models
+    call, each to the weight bytes train_toy gives it alone. A key that
+    cannot be built or trained gives its points its error, as does one
+    whose spec has fewer classes than the labels of data name: the labels
+    are checked once for each class count.
     """
     train_data, test_data = train_test_split(data, settings.test_fraction, seed)
     specs: dict[str, netspec.MultiExitSpec] = {}
@@ -458,14 +450,6 @@ def train_points(
             bad_labels = labels_outside(specs[k].class_count)
             if bad_labels is not None:
                 errors[k] = _failure(bad_labels)
-                continue
-            if settings.channel_mode == "slice" and dp.channel_fraction != 1.0:
-                if settings.base_weights is None:
-                    raise ValueError("channel_mode 'slice' needs base_weights for the full network")
-                full = build_point_spec(replace(dp, channel_fraction=1.0), base_net, seed, settings)
-                weights[k] = runtime.slice_weights(
-                    settings.base_weights, netspec.all_layers(full), netspec.all_layers(specs[k])
-                )
                 continue
             steps[k] = train.TrainStep(specs[k])
         except Exception as err:  # recorded, never aborts the sweep

@@ -31,19 +31,15 @@ skipped requantization would have mapped each value to its own bits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import netspec, runtime
 from .datasets import BLOCK_INPUTS
-from .documents import fields
 from .dropout import (
-    DropoutConfig,
     MaskSet,
-    config_digest,
     derive_seed,
     generate_masks,
     masksembles_passes,
@@ -85,30 +81,6 @@ class PredictionSet:
     @property
     def n_sample(self) -> int:
         return self.n_exit * self.n_pass
-
-    def to_dict(self, seed: int | None = None, config: DropoutConfig | None = None) -> dict:
-        out: dict[str, Any] = {
-            "n_exit": self.n_exit,
-            "n_pass": self.n_pass,
-            "class_count": self.class_count,
-            "samples": self.samples.reshape(-1).tolist(),  # row-major
-        }
-        if seed is not None:
-            out["seed"] = int(seed)
-        if config is not None:
-            out["dropout_config_digest"] = config_digest(config)
-        return out
-
-    @classmethod
-    def from_dict(cls, doc: Any) -> "PredictionSet":
-        keys = ("n_exit", "n_pass", "class_count", "samples", "seed", "dropout_config_digest")
-        doc = fields(doc, "prediction set", keys, keys[:4])
-        n_exit, n_pass, classes = int(doc["n_exit"]), int(doc["n_pass"]), int(doc["class_count"])
-        samples = np.asarray(doc["samples"], dtype=np.float64).reshape(n_exit, n_pass, classes)
-        return cls(samples=samples, n_exit=n_exit, n_pass=n_pass, class_count=classes)
-
-    def to_json(self, seed: int | None = None, config: DropoutConfig | None = None) -> str:
-        return json.dumps(self.to_dict(seed=seed, config=config), sort_keys=True)
 
 
 @dataclass(frozen=True)

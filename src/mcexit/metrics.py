@@ -75,22 +75,14 @@ def cost_single_exit(report: FlopReport, n_sample: int) -> int:
     return n_sample * (report.flop_main + report.flop_exit_total)
 
 
-def cost_multi_exit(
-    report: FlopReport, n_sample: int, n_exit: int, allow_fractional: bool = False
-) -> float:
+def cost_multi_exit(report: FlopReport, n_sample: int, n_exit: int) -> float:
     """Cost with trunk caching: one trunk pass plus n_sample/n_exit passes
-    of the exit heads. n_exit must divide n_sample unless fractional
-    passes are explicitly allowed."""
+    of the exit heads. n_exit must divide n_sample."""
     if n_sample < 1 or n_exit < 1:
         raise ValueError("n_sample and n_exit must be >= 1")
-    if n_sample % n_exit == 0:
-        return float(report.flop_main + (n_sample // n_exit) * report.flop_exit_total)
-    if not allow_fractional:
-        raise ValueError(
-            f"n_exit {n_exit} does not divide n_sample {n_sample}; "
-            f"pass allow_fractional=True to accept a non-integer pass count"
-        )
-    return report.flop_main + (n_sample / n_exit) * report.flop_exit_total
+    if n_sample % n_exit:
+        raise ValueError(f"n_exit {n_exit} does not divide n_sample {n_sample}")
+    return float(report.flop_main + (n_sample // n_exit) * report.flop_exit_total)
 
 
 def reduction_rate(alpha: float, n_sample: int, n_exit: int) -> float:

@@ -434,54 +434,41 @@ def save_multi_exit(me: MultiExitSpec, path: str | Path) -> None:
 # exit placement
 
 
-def default_head_template(classes: int | None = None) -> tuple[LayerSpec, ...]:
-    """Global-average-pool into a dense classifier; dims filled per exit."""
-    return (
-        LayerSpec(id="gap", kind="avg_pool", params={"window": _GLOBAL_WINDOW, "stride": 1}),
-        LayerSpec(id="flatten", kind="flatten"),
-        LayerSpec(id="fc", kind="dense", params={"in_features": None, "out_features": classes}),
-        LayerSpec(id="softmax", kind="softmax"),
-    )
+# Every added exit's head: global average pool into a dense classifier,
+# its widths filled per exit by instantiate_head.
+HEAD_TEMPLATE = (
+    LayerSpec(id="gap", kind="avg_pool", params={"window": _GLOBAL_WINDOW, "stride": 1}),
+    LayerSpec(id="flatten", kind="flatten"),
+    LayerSpec(id="fc", kind="dense", params={"in_features": None, "out_features": None}),
+    LayerSpec(id="softmax", kind="softmax"),
+)
 
 
 def instantiate_head(
-    template: Sequence[LayerSpec],
-    feature_shape: tuple[int, ...],
-    classes: int,
-    prefix: str,
+    feature_shape: tuple[int, ...], classes: int, prefix: str
 ) -> tuple[LayerSpec, ...]:
-    """Adapt a head template to a concrete block output shape.
+    """HEAD_TEMPLATE adapted to a concrete block output shape.
 
-    Spatial template layers (global pooling, flatten) are dropped when the
-    incoming feature is already rank-1. Dense layers with in_features None
-    take the current feature width; out_features None becomes the class
-    count. Raises if the template cannot be made shape-compatible.
+    The global pool and flatten are dropped when the incoming feature is
+    already rank-1. The dense layer takes the feature width and the class
+    count. Raises if the feature cannot reach the dense layer as rank-1.
     """
     layers: list[LayerSpec] = []
     cur = tuple(feature_shape)
-    for t in template:
+    for t in HEAD_TEMPLATE:
         params = dict(t.params)
-        if t.kind in POOL_KINDS and params.get("window") == _GLOBAL_WINDOW and len(cur) == 1:
-            continue
-        if t.kind == "flatten" and len(cur) == 1:
+        if t.kind in ("avg_pool", "flatten") and len(cur) == 1:
             continue
         if t.kind == "dense":
-            if params.get("in_features") is None:
-                if len(cur) != 1:
-                    raise ValueError(
-                        f"head template cannot be shape-adapted: dense {t.id!r} fed rank-{len(cur)} "
-                        f"feature {cur}; add a flatten or pooling stage"
-                    )
-                params["in_features"] = int(cur[0])
-            if params.get("out_features") is None:
-                params["out_features"] = int(classes)
+            if len(cur) != 1:
+                raise ValueError(
+                    f"head template cannot be shape-adapted: dense {t.id!r} fed rank-{len(cur)} "
+                    f"feature {cur}; add a flatten or pooling stage"
+                )
+            params.update(in_features=int(cur[0]), out_features=int(classes))
         layer = normalize_layer(LayerSpec(id=f"{prefix}/{t.id}", kind=t.kind, params=params))
         cur = output_shape(layer, cur)
         layers.append(layer)
-    if not layers or layers[-1].kind != "softmax":
-        raise ValueError("head template must end in softmax")
-    if cur != (classes,):
-        raise ValueError(f"head template yields {cur}, expected ({classes},)")
     return tuple(layers)
 
 
@@ -502,17 +489,14 @@ def terminal_head_split(net: NetworkSpec) -> tuple[tuple[LayerSpec, ...], tuple[
     return net.layers[:last_learnable], net.layers[last_learnable:]
 
 
-def place_exits(
-    net: NetworkSpec, head_template: Sequence[LayerSpec] | None = None
-) -> MultiExitSpec:
-    """Attach one templated exit after every pooling layer and keep the
-    original classifier as the final exit.
+def place_exits(net: NetworkSpec) -> MultiExitSpec:
+    """Attach one HEAD_TEMPLATE exit after every pooling layer and keep
+    the original classifier as the final exit.
 
     A pooling layer that directly feeds the original classifier would
     duplicate the final exit's attach point; such a layer gets no extra
     head so attach depths stay strictly increasing.
     """
-    template = tuple(head_template) if head_template is not None else default_head_template()
     trunk_layers, original_head = terminal_head_split(net)
     classes = class_count(net)
     trunk = NetworkSpec(input_shape=net.input_shape, layers=trunk_layers)
@@ -526,7 +510,7 @@ def place_exits(
         if layer.id == final_attach:
             continue
         k = len(exits) + 1
-        head = instantiate_head(template, shapes[i], classes, prefix=f"exit{k}")
+        head = instantiate_head(shapes[i], classes, prefix=f"exit{k}")
         exits.append(ExitSpec(exit_index=k, attach_after=layer.id, head_layers=head))
     exits.append(
         ExitSpec(

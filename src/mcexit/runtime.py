@@ -389,7 +389,7 @@ def forward(
 
 
 # --------------------------------------------------------------------------
-# weight initialization and channel slicing
+# weight initialization
 
 
 def read_only(store: WeightStore) -> WeightStore:
@@ -447,29 +447,6 @@ def zero_weights(layers: Iterable[LayerSpec]) -> WeightStore:
             "bias": np.zeros(_weight_shape(layer)[0], dtype=np.float32),
         }
     return read_only(store)
-
-
-def slice_weights(
-    store: WeightStore, old_layers: Iterable[LayerSpec], new_layers: Iterable[LayerSpec]
-) -> WeightStore:
-    """Adapt trained weights to a channel-scaled twin of the same network
-    by keeping the leading channels/features of every tensor, copied into
-    new read-only arrays."""
-    out: WeightStore = {}
-    for old, new in zip(old_layers, new_layers):
-        if old.id != new.id or old.kind != new.kind:
-            raise ValueError(f"layer mismatch: {old.id!r}/{old.kind} vs {new.id!r}/{new.kind}")
-        if new.kind not in netspec.LEARNABLE_KINDS:
-            continue
-        w = store[old.id]["weights"]
-        b = store[old.id]["bias"]
-        shape = _weight_shape(new)
-        # copies, so that no write to store reaches them
-        out[new.id] = {
-            "weights": np.array(w[: shape[0], : shape[1]], order="C"),
-            "bias": np.array(b[: shape[0]], order="C"),
-        }
-    return read_only(out)
 
 
 # --------------------------------------------------------------------------

@@ -209,24 +209,17 @@ def _backward_layer(
 
 
 def make_dropout_draws(
-    me: MultiExitSpec,
-    batch_size: int,
-    epoch_positions: np.ndarray,
-    seed: int,
-    *,
-    step: TrainStep | None = None,
+    step: TrainStep, batch_size: int, epoch_positions: np.ndarray, seed: int
 ) -> dict[str, np.ndarray]:
-    """One dropout realization per site for a whole batch.
+    """One dropout realization per site of step's spec for a whole batch.
 
     MCD draws a fresh scaled Bernoulli multiplier for every example;
     masksembles assigns example j the mask (epoch position of j) modulo
-    num_masks, cycling through the table deterministically. A `step`
-    built from `me` saves working out the site widths again.
+    num_masks, cycling through the table deterministically.
     """
-    cfg = me.dropout
+    cfg = step.me.dropout
     if cfg is None:
         return {}
-    step = step if step is not None else TrainStep(me)
     if cfg.kind == "masksembles":
         rows = np.asarray(epoch_positions) % cfg.num_masks
         return {site_id: table[rows] for site_id, table in step.tables.items()}
@@ -239,27 +232,24 @@ def make_dropout_draws(
 
 
 def loss_and_grads(
-    me: MultiExitSpec,
+    step: TrainStep,
     weights: WeightStore,
     x: np.ndarray,
     y: np.ndarray,
     draws: Mapping[str, np.ndarray],
-    *,
-    step: TrainStep | None = None,
 ) -> tuple[float, dict[str, dict[str, np.ndarray]]]:
-    """Summed per-exit cross-entropy and its analytic gradients.
+    """Summed per-exit cross-entropy of step's spec and its analytic
+    gradients.
 
     The dropout realization is supplied explicitly so the loss is a
     deterministic, differentiable function of the weights; that is what
-    makes finite-difference checks of these gradients meaningful. A
-    `step` built from `me` saves checking and measuring the spec again.
+    makes finite-difference checks of these gradients meaningful.
 
     x of shape (batch, features) is one model. A group of models that
     train together passes x of shape (models, batch, features), with y,
     the draws and every weight stacked on the same leading axis; the loss
     is then an array of one loss per model and the gradients are stacked.
     """
-    step = step if step is not None else TrainStep(me)
     pools = step.pools
     x = np.asarray(x)
     y = np.asarray(y)
@@ -277,7 +267,7 @@ def loss_and_grads(
     grads: dict[str, dict[str, np.ndarray]] = {}
     attach_grads: dict[str | None, np.ndarray] = {}
     total_loss = np.zeros(x.shape[:-2])[()]  # float64, one per model
-    for ex in me.exits:
+    for ex in step.me.exits:
         tape: list[tuple[LayerSpec, object]] = []
         h = trunk_acts[ex.attach_after]
         for layer in ex.head_layers[:-1]:
@@ -329,8 +319,7 @@ def train_models(
     """
     if not steps or len(steps) != len(cfgs):
         raise ValueError(f"{len(steps)} specs for {len(cfgs)} train configs")
-    me = steps[0].me
-    shared = replace(me, dropout=None)
+    shared = replace(steps[0].me, dropout=None)
     if any(replace(s.me, dropout=None) != shared for s in steps[1:]):
         raise ValueError("models that train together must differ only in their dropout config")
     epochs, batch = cfgs[0].epochs, cfgs[0].batch
@@ -358,13 +347,11 @@ def train_models(
             take = order[..., start : start + batch]
             at = positions[start : start + batch]
             per_model = [
-                make_dropout_draws(
-                    s.me, len(at), at, derive_seed(c.seed, "epoch", epoch, "batch", start), step=s
-                )
+                make_dropout_draws(s, len(at), at, derive_seed(c.seed, "epoch", epoch, "batch", start))
                 for s, c in models
             ]
             draws = {site: _stack([d[site] for d in per_model]) for site in per_model[0]}
-            _, grads = loss_and_grads(me, weights, x_all[take], y_all[take], draws, step=steps[0])
+            _, grads = loss_and_grads(steps[0], weights, x_all[take], y_all[take], draws)
             for lid, named in grads.items():
                 for name, g in named.items():
                     weights[lid][name] -= lr * g

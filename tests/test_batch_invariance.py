@@ -10,16 +10,7 @@ import numpy as np
 import pytest
 
 from mcexit import netspec, runtime
-from mcexit.dropout import (
-    RngStream,
-    generate_masks,
-    masksembles_forward,
-    masksembles_forward_batch,
-    mcd_forward,
-    mcd_forward_batch,
-    stream_key,
-    stream_uniforms,
-)
+from mcexit.dropout import generate_masks, masksembles_forward, masksembles_passes
 from mcexit.runtime import QFormat, quantize
 
 BATCHES = (1, 3, 17)
@@ -190,43 +181,17 @@ def test_empty_batch_keeps_the_sample_shape(doc, shape):
 
 
 class TestBatchedDraws:
-    ROWS = [(seed, p) for seed in (0, 7, 2**63 + 5) for p in range(3)]
-
-    @pytest.mark.parametrize("shape", [(12,), (4, 1, 1), (2, 3, 5)])
-    def test_uniforms_match_rng_streams(self, shape):
-        keys = [stream_key(seed, p, "exit1/drop0") for seed, p in self.ROWS]
-        u = stream_uniforms(keys, shape)
-        for row, (seed, p) in zip(u, self.ROWS):
-            assert np.array_equal(row, RngStream(seed, p, "exit1/drop0").uniform(shape))
-
-    @pytest.mark.parametrize("inverted", [False, True])
-    @pytest.mark.parametrize("granularity", ["element", "channel"])
-    @pytest.mark.parametrize("shape", [(12,), (4, 3, 3)])
-    def test_mcd_rows_match_single_draws(self, shape, granularity, inverted):
-        gen = np.random.Generator(np.random.Philox(key=1))
-        x = gen.standard_normal((len(self.ROWS), *shape)).astype(np.float32)
-        keys = [stream_key(seed, p, "site") for seed, p in self.ROWS]
-        out = mcd_forward_batch(x, 0.5, granularity, keys, inverted)
-        for row, sample, (seed, p) in zip(out, x, self.ROWS):
-            stream = RngStream(seed, p, "site")
-            expected = mcd_forward(sample, 0.5, granularity, stream, inverted)
-            assert row.dtype == expected.dtype
-            assert np.array_equal(row, expected)
-
-    def test_mcd_needs_one_key_per_row(self):
-        with pytest.raises(ValueError, match="keys"):
-            mcd_forward_batch(np.ones((3, 4), np.float32), 0.5, "element", [1, 2])
-
     @pytest.mark.parametrize("shape", [(12,), (12, 2, 2)])
     def test_masksembles_rows_match_single_masks(self, shape):
         table = generate_masks(12, 4, 2.0)
-        passes = [0, 3, 1, 1, 2]
-        x = np.arange(len(passes) * np.prod(shape), dtype=np.float32).reshape(len(passes), *shape)
-        out = masksembles_forward_batch(x, passes, table)
-        for row, sample, p in zip(out, x, passes):
-            assert np.array_equal(row, masksembles_forward(sample, p, table))
+        inputs, n_pass = 2, 3
+        x = np.arange(inputs * n_pass * np.prod(shape), dtype=np.float32)
+        x = x.reshape(inputs * n_pass, *shape)
+        out = masksembles_passes(x, n_pass, table)
+        for r, (row, sample) in enumerate(zip(out, x)):
+            assert np.array_equal(row, masksembles_forward(sample, r % n_pass, table))
 
     def test_masksembles_rejects_a_bad_index(self):
         table = generate_masks(4, 2, 1.0)
         with pytest.raises(ValueError, match="mask_index 2 out of range"):
-            masksembles_forward_batch(np.ones((2, 4), np.float32), [0, 2], table)
+            masksembles_forward(np.ones(4, np.float32), 2, table)

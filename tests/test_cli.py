@@ -15,7 +15,18 @@ import numpy as np
 import pytest
 
 from conftest import conv32_doc, mlp_doc
-from mcexit import cli, datasets, documents, emitter, explorer, mapping, metrics, netspec, runtime
+from mcexit import (
+    cli,
+    datasets,
+    documents,
+    emitter,
+    explorer,
+    mapping,
+    metrics,
+    netspec,
+    runtime,
+    train,
+)
 from mcexit.dropout import DropoutConfig
 
 
@@ -1090,6 +1101,11 @@ MALFORMED = [
         lambda ws, t: _explore(t, seed="3"), ["config", "seed", "integer"], id="seed-is-a-string"
     ),
     pytest.param(
+        lambda ws, t: _explore(t, settings={"epochs": 25, "channel_mode": "slice"}),
+        ["settings", "channel_mode"],
+        id="settings-channel-mode-is-gone",
+    ),
+    pytest.param(
         lambda ws, t: _train_on(ws, t, ["--synth", "5,16,90"]),
         ["dataset labels 3, 4", "3 classes"],
         id="train-labels-past-the-class-count",
@@ -1163,6 +1179,29 @@ class TestBadCounts:
         assert captured.err == f"error: --engines must be in [1, 12], got {engines}\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_1_exit_2_before_the_config_is_read(self, tmp_path, capsys, jobs):
+        """The config named does not exist, so reading it first would name it."""
+        argv = ["explore", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "out")]
+        rc = cli.main(argv + ["--jobs", jobs])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_noise_count_0_exits_2_before_anything_trains(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained a point")
+
+        monkeypatch.setattr(train, "train_models", no_training)
+        rc = cli.main(_explore(tmp_path, noise_count=0))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: config key 'noise_count' must be >= 1, got 0\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_n_pass_past_the_masks_names_the_flag(self, tmp_path, capsys):
         inputs = tmp_path / "in"

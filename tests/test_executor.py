@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 import mcexit
 from conftest import mlp_doc, rng
 from mcexit import dropout, inference, netspec, runtime
-from mcexit.dropout import DropoutConfig, generate_masks, mcd_forward_batch, stream_keys
+from mcexit.dropout import DropoutConfig, RngStream, generate_masks, mcd_forward
 from mcexit.netspec import ExitSpec, LayerSpec, MultiExitSpec
 from mcexit.runtime import QFormat
 
@@ -109,8 +109,11 @@ def ref_head(me, exit_index, x, on_grid, seeds, passes, weights, q):
             x = ref_layer(layer, x, weights, lq)
             continue
         if cfg.kind == "mcd":
-            keys = stream_keys(seeds, passes, layer.id)
-            x = mcd_forward_batch(x, cfg.keep_rate, cfg.granularity, keys, cfg.inverted)
+            drawn = np.empty_like(x)
+            for r, (seed, p) in enumerate(zip(seeds, passes)):
+                rng = RngStream(seed, p, layer.id)
+                drawn[r] = mcd_forward(x[r], cfg.keep_rate, cfg.granularity, rng, cfg.inverted)
+            x = drawn
             on_grid = False
         else:
             x = ref_masksembles(x, passes, generate_masks(x.shape[1], cfg.num_masks, cfg.scale))

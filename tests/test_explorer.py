@@ -293,29 +293,15 @@ class TestEvaluateDesignPoint:
         assert early is not None
         assert early <= result.report.flops_fraction + 1e-12
 
-    def test_slice_mode_reuses_full_width_weights(self, sweep_env):
-        net, data, hw, _ = sweep_env
-        full_dp = make_point(channel_fraction=1.0)
-        full_spec = explorer.build_point_spec(full_dp, net, 2, EvaluationSettings())
-        train_data, _ = datasets.train_test_split(data, 0.3, 2)
-        base_weights = train.train_toy(
-            full_spec, train_data, train.TrainConfig(lr=0.3, epochs=10, batch=32, seed=1)
-        )
-        settings_ = EvaluationSettings(channel_mode="slice", base_weights=base_weights)
-        dp = make_point(channel_fraction=0.5)
-        result = explorer.evaluate_design_point(dp, net, data, 4, hw, settings_, seed=2)
-        assert result.ok, result.error
-
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            EvaluationSettings(channel_mode="prune")
         with pytest.raises(ValueError):
             EvaluationSettings(exit_mode="always_last")
 
-    def test_settings_from_dict_takes_every_field_but_base_weights(self):
+    @pytest.mark.parametrize("key", ["channel_mode", "base_weights"])
+    def test_settings_from_dict_takes_every_field_and_no_other(self, key):
         assert EvaluationSettings.from_dict({"epochs": 7, "n_bins": 5}).n_bins == 5
-        with pytest.raises(ValueError, match="base_weights"):
-            EvaluationSettings.from_dict({"base_weights": {}})
+        with pytest.raises(ValueError, match=key):
+            EvaluationSettings.from_dict({key: "slice"})
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -548,47 +534,6 @@ class TestGroupedTraining:
         assert any("zero width" in r.error for r in alone if not r.ok)
         assert any("num_masks 8" in r.error for r in alone if not r.ok)
         assert sum(r.ok for r in alone) == 12
-
-    def test_slice_mode_matches_each_point_alone(self):
-        """channel_mode 'slice': the narrowed points slice base_weights and
-        the full-width points train, in explore as alone; without
-        base_weights the narrowed points fail with the same message."""
-        net = netspec.parse_network(mlp_doc())
-        data = datasets.make_blobs(count=40, classes=3, dim=16, seed=8)
-        hw = default_hardware_model()
-        full = explorer.build_point_spec(make_point(n_exit=3), net, 7, EvaluationSettings())
-        train_data, _ = datasets.train_test_split(data, 0.3, 7)
-        cfg = train.TrainConfig(lr=0.3, epochs=5, batch=16, seed=1)
-        base = train.train_toy(full, train_data, cfg)
-        grids = ExplorationGrids(
-            mcd_rates=(0.25,),
-            masksembles_scales=(2.0,),
-            n_exits=(1, 3),
-            n_passes=(2,),
-            channel_fractions=(1.0, 0.5),
-        )
-        for base_weights in (base, None):
-            settings_ = EvaluationSettings(
-                epochs=3, batch=16, channel_mode="slice", base_weights=base_weights
-            )
-            alone = [
-                explorer.evaluate_design_point(dp, net, data, 4, hw, settings_, seed=7)
-                for dp in explorer.enumerate_design_points(grids)
-            ]
-            outcome = explorer.explore(
-                net, grids, Constraints(min_accuracy=0.0), Priority(metrics=("accuracy",)),
-                data, hw, settings_, seed=7, noise_count=4,
-            )
-            rows = explorer.results_to_rows(outcome.results)
-            assert rows == explorer.results_to_rows(alone)
-            narrowed = [r for r in alone if r.point.channel_fraction == 0.5]
-            assert all(r.ok for r in alone if r.point.channel_fraction == 1.0)
-            if base_weights is None:
-                assert {r.error for r in narrowed} == {
-                    "ValueError: channel_mode 'slice' needs base_weights for the full network"
-                }
-            else:
-                assert all(r.ok for r in narrowed), [r.error for r in narrowed]
 
     def test_labels_past_the_class_count_fail_every_point_with_one_error(self, monkeypatch):
         """Labels beyond the network's classes give every point, grouped or

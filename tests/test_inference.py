@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import json
 import math
 import sys
 import threading
@@ -443,17 +442,6 @@ class TestConfidenceExit:
 
 
 class TestPredictionSet:
-    def test_round_trip(self, mcd_spec, mcd_weights, blob_data):
-        preds = inference.predict(mcd_spec, blob_data.features[4], 3, mcd_weights, seed=8)
-        again = PredictionSet.from_dict(preds.to_dict())
-        assert np.array_equal(preds.samples, again.samples)
-
-    def test_json_carries_seed_and_config_digest(self, mcd_spec, mcd_weights, blob_data):
-        preds = inference.predict(mcd_spec, blob_data.features[4], 2, mcd_weights, seed=8)
-        doc = json.loads(preds.to_json(seed=8, config=mcd_spec.dropout))
-        assert doc["seed"] == 8
-        assert len(doc["dropout_config_digest"]) == 64
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             PredictionSet(samples=np.ones((2, 2, 2)) / 2, n_exit=2, n_pass=3, class_count=2)

@@ -3,13 +3,14 @@ through cli.main in order and must print the lines the README shows, and
 the library snippet must run as written."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
 import shlex
 from pathlib import Path
 
-from mcexit import cli
+from mcexit import cli, explorer
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -65,3 +66,10 @@ def test_library_snippet_runs_as_written(tmp_path, monkeypatch):
     shape, probs = sink.getvalue().splitlines()
     assert shape == "(3, 4, 3)"
     assert probs.startswith("[")
+
+
+def test_the_settings_keys_listed_are_the_evaluation_settings_fields():
+    (listed,) = re.findall(r"`settings` takes (.*?)\.", README, re.S)
+    keys = re.findall(r"`(\w+)`", listed)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {f.name for f in dataclasses.fields(explorer.EvaluationSettings)}

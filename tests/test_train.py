@@ -39,12 +39,12 @@ def to_float64(store):
     }
 
 
-def numeric_grad(me, weights, x, y, draws, lid, name, idx, eps=1e-6):
+def numeric_grad(step, weights, x, y, draws, lid, name, idx, eps=1e-6):
     w = {k: {n: t.copy() for n, t in v.items()} for k, v in weights.items()}
     w[lid][name][idx] += eps
-    hi, _ = train.loss_and_grads(me, w, x, y, draws)
+    hi, _ = train.loss_and_grads(step, w, x, y, draws)
     w[lid][name][idx] -= 2 * eps
-    lo, _ = train.loss_and_grads(me, w, x, y, draws)
+    lo, _ = train.loss_and_grads(step, w, x, y, draws)
     return (hi - lo) / (2 * eps)
 
 
@@ -62,10 +62,11 @@ def check_gradients(me, seed, batch=6):
         named["bias"] += gen.uniform(0.1, 0.4, size=named["bias"].shape) * gen.choice(
             [-1.0, 1.0], size=named["bias"].shape
         )
-    draws = train.make_dropout_draws(me, batch, np.arange(batch), seed)
+    step = train.TrainStep(me)
+    draws = train.make_dropout_draws(step, batch, np.arange(batch), seed)
     draws = {k: v.astype(np.float64) for k, v in draws.items()}
 
-    _, grads = train.loss_and_grads(me, weights, x, y, draws)
+    _, grads = train.loss_and_grads(step, weights, x, y, draws)
     worst = 0.0
     for lid, named in grads.items():
         for name, g in named.items():
@@ -73,7 +74,7 @@ def check_gradients(me, seed, batch=6):
             probe = gen.choice(flat.size, size=min(6, flat.size), replace=False)
             for k in probe:
                 idx = np.unravel_index(k, g.shape)
-                num = numeric_grad(me, weights, x, y, draws, lid, name, idx)
+                num = numeric_grad(step, weights, x, y, draws, lid, name, idx)
                 denom = max(abs(num), abs(flat[k]), 1e-4)
                 worst = max(worst, abs(num - flat[k]) / denom)
     return worst
@@ -176,21 +177,21 @@ class TestTrainToy:
 class TestDropoutDraws:
     def test_mcd_values_are_zero_or_scale(self):
         me = tiny_spec(seed=6)
-        draws = train.make_dropout_draws(me, 8, np.arange(8), 6)
+        draws = train.make_dropout_draws(train.TrainStep(me), 8, np.arange(8), 6)
         for arr in draws.values():
             assert set(np.unique(arr)) <= {np.float32(0.0), np.float32(0.75)}
 
     def test_masksembles_rows_cycle_through_table(self):
         me = tiny_spec(seed=7, kind="masksembles")
-        draws = train.make_dropout_draws(me, 4, np.arange(4), 7)
+        draws = train.make_dropout_draws(train.TrainStep(me), 4, np.arange(4), 7)
         for arr in draws.values():
             np.testing.assert_array_equal(arr[0], arr[2])
             np.testing.assert_array_equal(arr[1], arr[3])
 
     def test_deterministic_per_seed(self):
         me = tiny_spec(seed=8)
-        a = train.make_dropout_draws(me, 4, np.arange(4), 8)
-        b = train.make_dropout_draws(me, 4, np.arange(4), 8)
+        a = train.make_dropout_draws(train.TrainStep(me), 4, np.arange(4), 8)
+        b = train.make_dropout_draws(train.TrainStep(me), 4, np.arange(4), 8)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
 
@@ -424,7 +425,7 @@ class TestFrozenReference:
     def test_dropout_draws_match_the_reference(self, dropout):
         me = pooled_spec("avg_pool", 3, 2, dropout, 2)
         positions = np.arange(16, 29)
-        got = train.make_dropout_draws(me, 13, positions, 77)
+        got = train.make_dropout_draws(train.TrainStep(me), 13, positions, 77)
         want = _ref_dropout_draws(me, 13, positions, 77)
         assert list(got) == list(want)
         for site in want:
@@ -482,25 +483,17 @@ class TestTrainModels:
         gen = np.random.Generator(np.random.Philox(key=3))
         x = gen.normal(size=(len(mes), 7, 16)).astype(np.float32)
         y = gen.integers(0, 3, size=(len(mes), 7))
-        draws = [
-            train.make_dropout_draws(me, 7, np.arange(7), 30 + i, step=s)
-            for i, (me, s) in enumerate(zip(mes, steps))
-        ]
+        draws = [train.make_dropout_draws(s, 7, np.arange(7), 30 + i) for i, s in enumerate(steps)]
         stacked = {
             lid: {name: np.stack([s[lid][name] for s in stores]) for name in named}
             for lid, named in stores[0].items()
         }
         loss, grads = train.loss_and_grads(
-            mes[0],
-            stacked,
-            x,
-            y,
-            {site: np.stack([d[site] for d in draws]) for site in draws[0]},
-            step=steps[0],
+            steps[0], stacked, x, y, {site: np.stack([d[site] for d in draws]) for site in draws[0]}
         )
         assert loss.shape == (len(mes),)
-        for m, (me, store, d) in enumerate(zip(mes, stores, draws)):
-            alone_loss, alone = train.loss_and_grads(me, store, x[m], y[m], d, step=steps[m])
+        for m, (step, store, d) in enumerate(zip(steps, stores, draws)):
+            alone_loss, alone = train.loss_and_grads(step, store, x[m], y[m], d)
             assert isinstance(alone_loss, float)
             assert loss[m] == alone_loss
             assert {k: {n: g[m].tobytes() for n, g in v.items()} for k, v in grads.items()} == {

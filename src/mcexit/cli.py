@@ -55,10 +55,14 @@ def _load_data(args: argparse.Namespace, me: netspec.MultiExitSpec) -> Dataset:
     if getattr(args, "dataset", None):
         data = load_dataset(args.dataset)
     elif getattr(args, "synth", None):
-        parts = args.synth.split(",")
-        if len(parts) != 3:
-            raise ValueError("--synth takes classes,features,count")
-        classes, features, count = (int(p) for p in parts)
+        try:
+            classes, features, count = (int(p) for p in args.synth.split(","))
+        except ValueError:
+            raise ValueError(f"--synth takes classes,features,count, got {args.synth!r}") from None
+        if classes < 2 or features < 2 or count < 1:
+            raise ValueError(
+                f"--synth needs classes >= 2, features >= 2 and count >= 1, got {args.synth}"
+            )
         data = make_blobs(count=count, classes=classes, dim=features, seed=args.data_seed)
     else:
         raise ValueError("provide --dataset FILE or --synth classes,features,count")

@@ -78,8 +78,8 @@ class DropoutConfig:
                 raise ValueError("masksembles config requires num_masks and scale")
             if self.num_masks < 1:
                 raise ValueError(f"num_masks must be >= 1, got {self.num_masks}")
-            if self.scale < 1.0:
-                raise ValueError(f"scale must be >= 1, got {self.scale}")
+            if not 1.0 <= self.scale < np.inf:
+                raise ValueError(f"scale must be finite and >= 1, got {self.scale}")
             if self.keep_rate is not None or self.granularity is not None:
                 raise ValueError("keep_rate/granularity are mcd fields, not masksembles")
             if self.inverted:

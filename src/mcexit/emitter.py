@@ -1,11 +1,13 @@
 """Accelerator plan emission.
 
 Turns a dropout-ready multi-exit network plus a sample-to-engine mapping
-into a self-contained deployment plan: per-layer placement records, one
-hardware unit description per dropout site (an on-chip RNG recipe for
-Bernoulli dropout, an embedded mask ROM for fixed-mask ensembles),
-latency and resource estimates, and a human-readable report. The JSON
-form is byte-stable for identical inputs.
+into a self-contained deployment plan. The plan holds the network's own
+multi-exit document once (layers, exits, dropout config) and the datapath
+format, then only what that document lacks: one hardware unit per dropout
+site (an on-chip RNG recipe for Bernoulli dropout, an embedded mask ROM
+for fixed-mask ensembles), the sample-to-engine assignment, latency and
+resource estimates. render_report turns it into a human-readable report.
+The JSON form is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import inference, netspec
-from .documents import dumps, field_names, fields, loads, read_json, write_json
+from .documents import field_names, fields, read_json, write_json
+from .dropout import DropoutConfig
 from .mapping import (
     RESOURCE_KEYS,
     HardwareModel,
@@ -27,7 +30,7 @@ from .metrics import MetricsReport
 from .netspec import MultiExitSpec
 from .runtime import QFormat
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class EmitError(ValueError):
@@ -36,14 +39,15 @@ class EmitError(ValueError):
 
 @dataclass(frozen=True)
 class AcceleratorPlan:
-    """Everything a code generator downstream needs, in plain data."""
+    """Everything a code generator downstream needs: the network and its
+    datapath format, plus the dropout units, mapping and estimates."""
 
     schema_version: int
-    strategy: str
+    network: MultiExitSpec
+    qformat: QFormat | None
     n_sample: int
     n_pass: int
     mapping: dict[str, Any]
-    layers: tuple[dict[str, Any], ...]
     dropout_units: tuple[dict[str, Any], ...]
     estimates: dict[str, Any]
     design: dict[str, Any] | None = None
@@ -52,11 +56,11 @@ class AcceleratorPlan:
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "schema_version": self.schema_version,
-            "strategy": self.strategy,
+            "network": netspec.serialize_multi_exit(self.network),
+            "qformat": self.qformat.to_dict() if self.qformat is not None else None,
             "n_sample": self.n_sample,
             "n_pass": self.n_pass,
             "mapping": self.mapping,
-            "layers": list(self.layers),
             "dropout_units": list(self.dropout_units),
             "estimates": self.estimates,
         }
@@ -75,13 +79,14 @@ class AcceleratorPlan:
                 f"unsupported plan schema {doc['schema_version']!r},"
                 f" expected {SCHEMA_VERSION}"
             )
+        q = doc["qformat"]
         return cls(
             schema_version=SCHEMA_VERSION,
-            strategy=doc["strategy"],
+            network=netspec.parse_multi_exit(doc["network"]),
+            qformat=QFormat.from_dict(q) if q is not None else None,
             n_sample=doc["n_sample"],
             n_pass=doc["n_pass"],
             mapping=dict(doc["mapping"]),
-            layers=tuple(dict(rec) for rec in doc["layers"]),
             dropout_units=tuple(dict(rec) for rec in doc["dropout_units"]),
             estimates=dict(doc["estimates"]),
             design=dict(doc["design"]) if "design" in doc else None,
@@ -89,81 +94,29 @@ class AcceleratorPlan:
         )
 
 
-def _qformat_doc(qformat: QFormat | None) -> dict[str, int] | None:
-    if qformat is None:
-        return None
-    return {"total_bits": qformat.total_bits, "integer_bits": qformat.integer_bits}
-
-
-def _layer_records(me: MultiExitSpec, qformat: QFormat | None) -> list[dict[str, Any]]:
-    q = _qformat_doc(qformat)
-    records: list[dict[str, Any]] = []
-    for layer in me.trunk.layers:
-        records.append(
-            {
-                "id": layer.id,
-                "kind": layer.kind,
-                "segment": "trunk",
-                "placement": "shared",
-                "pipeline": True,
-                "qformat": q,
-            }
-        )
-    for ex in me.exits:
-        for layer in ex.head_layers:
-            rec: dict[str, Any] = {
-                "id": layer.id,
-                "kind": layer.kind,
-                "segment": f"exit{ex.exit_index}",
-                "placement": "replicated",
-                "pipeline": True,
-                "qformat": None if layer.kind == "softmax" else q,
-            }
-            if layer.kind == "dropout_point":
-                rec["dropout_unit"] = layer.id
-            records.append(rec)
-    return records
-
-
 def _dropout_unit_records(me: MultiExitSpec) -> list[dict[str, Any]]:
-    cfg = me.dropout
-    if cfg is None:
+    """Per site, what network.dropout does not say: the masked width and
+    either the RNG keying rule or the mask table."""
+    if me.dropout is None:
         return []
+    tables = inference.site_mask_sets(me) if me.dropout.kind == "masksembles" else {}
     records: list[dict[str, Any]] = []
-    if cfg.kind == "mcd":
-        for exit_index, site_id in me.dropout_sites:
-            records.append(
-                {
-                    "site": site_id,
-                    "exit": exit_index,
-                    "kind": "mcd",
-                    "keep_rate": cfg.keep_rate,
-                    "granularity": cfg.granularity,
-                    "features": inference.site_feature_count(me, exit_index, site_id),
-                    "rng": {
-                        "generator": "philox4x64",
-                        "key": "blake2b-128(seed|sample_index|site)",
-                        "seed": cfg.seed,
-                        "uniform_bits": 53,
-                    },
-                }
-            )
-    else:
-        tables = inference.site_mask_sets(me)
-        for exit_index, site_id in me.dropout_sites:
-            table = tables[site_id]
-            records.append(
-                {
-                    "site": site_id,
-                    "exit": exit_index,
-                    "kind": "masksembles",
-                    "num_masks": cfg.num_masks,
-                    "scale": cfg.scale,
-                    "features": table.feature_count,
-                    "mask_select": "pass_index % num_masks",
-                    "masks": [[int(v) for v in row] for row in table.masks],
-                }
-            )
+    for exit_index, site_id in me.dropout_sites:
+        rec: dict[str, Any] = {
+            "site": site_id,
+            "exit": exit_index,
+            "features": inference.site_feature_count(me, exit_index, site_id),
+        }
+        if me.dropout.kind == "mcd":
+            rec["rng"] = {
+                "generator": "philox4x64",
+                "key": "blake2b-128(seed|sample_index|site)",
+                "uniform_bits": 53,
+            }
+        else:
+            rec["mask_select"] = "pass_index % num_masks"
+            rec["masks"] = [[int(v) for v in row] for row in tables[site_id].masks]
+        records.append(rec)
     return records
 
 
@@ -179,8 +132,10 @@ def emit_plan(
 ) -> AcceleratorPlan:
     """Assemble the deployment plan and cross-check its pieces.
 
-    n_pass is plan.n_sample / n_exit and must divide evenly; every layer
-    of the network must land in exactly one record.
+    me must pass netspec.validate, and n_pass is plan.n_sample / n_exit,
+    which must divide evenly and, for masksembles, fit the mask table.
+    The plan holds me itself, so inference.predict(plan.network, x,
+    plan.n_pass, weights, seed, plan.qformat) replays it.
     """
     problems = netspec.validate(me)
     if problems:
@@ -196,13 +151,6 @@ def emit_plan(
                 f"{n_pass} passes per exit exceed the {me.dropout.num_masks}-mask table"
             )
 
-    layers = _layer_records(me, qformat)
-    seen = [rec["id"] for rec in layers]
-    expected = [layer.id for layer in netspec.all_layers(me)]
-    if seen != expected:
-        raise EmitError("layer records do not cover the network exactly once")
-
-    units = _dropout_unit_records(me)
     mapping_doc = {
         "strategy": plan.strategy,
         "n_engines": plan.n_engines,
@@ -219,24 +167,16 @@ def emit_plan(
     }
     return AcceleratorPlan(
         schema_version=SCHEMA_VERSION,
-        strategy=plan.strategy,
+        network=me,
+        qformat=qformat,
         n_sample=plan.n_sample,
         n_pass=n_pass,
         mapping=mapping_doc,
-        layers=tuple(layers),
-        dropout_units=tuple(units),
+        dropout_units=tuple(_dropout_unit_records(me)),
         estimates=estimates,
         design=dict(design) if design is not None else None,
         metrics=metrics_report.to_dict() if metrics_report is not None else None,
     )
-
-
-def plan_to_json(plan: AcceleratorPlan) -> str:
-    return dumps(plan.to_dict())
-
-
-def plan_from_json(text: str) -> AcceleratorPlan:
-    return AcceleratorPlan.from_dict(loads(text, "plan"))
 
 
 def save_plan(plan: AcceleratorPlan, path: str | Path) -> None:
@@ -247,57 +187,52 @@ def load_plan(path: str | Path) -> AcceleratorPlan:
     return AcceleratorPlan.from_dict(read_json(path))
 
 
-def _unit_pseudocode(unit: Mapping[str, Any]) -> list[str]:
-    if unit["kind"] == "mcd":
-        keep = unit["keep_rate"]
+def _unit_lines(cfg: DropoutConfig, unit: Mapping[str, Any]) -> list[str]:
+    """A dropout unit's report heading and pseudocode."""
+    site = unit["site"]
+    if cfg.kind == "mcd":
+        keep = cfg.keep_rate
+        scale = f"(1 / {keep})" if cfg.inverted else f"{keep}"
         return [
-            f"u[f] = uniform53(philox(key(seed={unit['rng']['seed']},"
-            f" sample, '{unit['site']}')))",
-            f"y[f] = 0 if u[f] > {keep} else x[f] * {keep}",
+            f"  {site}: bernoulli rng, keep_rate={keep},"
+            f" granularity={cfg.granularity}, features={unit['features']}",
+            f"      u[f] = uniform53(philox(key(seed={cfg.seed}, sample, '{site}')))",
+            f"      y[f] = 0 if u[f] > {keep} else x[f] * {scale}",
         ]
     return [
-        f"m = mask_rom['{unit['site']}'][pass % {unit['num_masks']}]",
-        "y[f] = x[f] * m[f]",
+        f"  {site}: mask rom, {cfg.num_masks} x {unit['features']} bits, scale={cfg.scale}",
+        f"      m = mask_rom['{site}'][pass % {cfg.num_masks}]",
+        "      y[f] = x[f] * m[f]",
     ]
 
 
 def render_report(plan: AcceleratorPlan) -> str:
     """Fixed-layout text report of the plan; ends with a WARNING line for
     every resource over budget."""
+    me, q = plan.network, plan.qformat
     lines = [
         f"accelerator plan (schema {plan.schema_version})",
-        f"strategy: {plan.strategy}"
+        f"strategy: {plan.mapping['strategy']}"
         f" ({plan.mapping['n_engines']} engine(s), {plan.mapping['rounds']} round(s))",
         f"samples per inference: {plan.n_sample}"
-        f" ({plan.n_sample // plan.n_pass} exit(s) x {plan.n_pass} pass(es))",
+        f" ({me.n_exit} exit(s) x {plan.n_pass} pass(es))",
         "",
         "layers:",
     ]
-    for rec in plan.layers:
-        q = rec["qformat"]
-        qtext = f"q{q['total_bits']}.{q['integer_bits']}" if q else "f32"
-        lines.append(
-            f"  {rec['segment']:<8} {rec['id']:<24} {rec['kind']:<13}"
-            f" {rec['placement']:<10} {qtext}"
-        )
+    qtext = f"q{q.total_bits}.{q.integer_bits}" if q is not None else "f32"
+    segments = [("trunk", "shared", me.trunk.layers)] + [
+        (f"exit{ex.exit_index}", "replicated", ex.head_layers) for ex in me.exits
+    ]
+    for segment, placement, layers in segments:
+        for layer in layers:
+            fmt = "f32" if layer.kind == "softmax" else qtext
+            lines.append(f"  {segment:<8} {layer.id:<24} {layer.kind:<13} {placement:<10} {fmt}")
     lines.append("")
     lines.append("dropout units:")
     if not plan.dropout_units:
         lines.append("  (none)")
     for unit in plan.dropout_units:
-        if unit["kind"] == "mcd":
-            head = (
-                f"  {unit['site']}: bernoulli rng, keep_rate={unit['keep_rate']},"
-                f" granularity={unit['granularity']}, features={unit['features']}"
-            )
-        else:
-            head = (
-                f"  {unit['site']}: mask rom, {unit['num_masks']} x {unit['features']} bits,"
-                f" scale={unit['scale']}"
-            )
-        lines.append(head)
-        for code in _unit_pseudocode(unit):
-            lines.append(f"      {code}")
+        lines.extend(_unit_lines(me.dropout, unit))
     lines.append("")
     est = plan.estimates
     lines.append("resources:")

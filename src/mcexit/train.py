@@ -40,8 +40,8 @@ class TrainConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be >= 1")
 

@@ -21,6 +21,7 @@ from mcexit import (
     documents,
     emitter,
     explorer,
+    inference,
     mapping,
     metrics,
     netspec,
@@ -624,11 +625,12 @@ class TestExplore:
 
     def test_best_plan_is_loadable(self, explore_out):
         plan = emitter.load_plan(explore_out / "best.plan.json")
-        assert plan.schema_version == 1
+        assert plan.schema_version == 2
         assert plan.design is not None
         assert plan.metrics is not None
+        assert plan.network.dropout.kind == plan.design["dropout_kind"]
         text = (explore_out / "best.plan.txt").read_text()
-        assert text.splitlines()[0] == "accelerator plan (schema 1)"
+        assert text.splitlines()[0] == "accelerator plan (schema 2)"
 
     def test_summary_lines(self, ws, tmp_path, capsys):
         config = explore_config(ws)
@@ -864,12 +866,12 @@ class TestEmit:
             f"wrote {report}",
         ]
         plan = emitter.load_plan(out)
-        assert plan.schema_version == 1
+        assert plan.schema_version == 2
         assert plan.mapping["strategy"] == "hybrid"
-        dense = next(l for l in plan.layers if l["kind"] == "dense")
-        assert dense["qformat"] == {"total_bits": 8, "integer_bits": 3}
+        assert plan.network == netspec.load_multi_exit(ws / "multi_exit.json")
+        assert plan.qformat == runtime.QFormat(total_bits=8, integer_bits=3)
         lines = report.read_text().splitlines()
-        assert lines[0] == "accelerator plan (schema 1)"
+        assert lines[0] == "accelerator plan (schema 2)"
         assert lines[1] == "strategy: hybrid (2 engine(s), 3 round(s))"
         assert lines[2] == "samples per inference: 6 (3 exit(s) x 2 pass(es))"
 
@@ -951,6 +953,46 @@ class TestEmit:
         assert cli.main(argv + ["--out", str(a)]) == 0
         assert cli.main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+REPLAY_DROPOUT = {
+    "mcd-element": ["--keep-rate", "0.75", "--granularity", "element"],
+    "mcd-element-inverted": ["--keep-rate", "0.75", "--granularity", "element", "--inverted"],
+    "mcd-channel": ["--keep-rate", "0.5", "--granularity", "channel"],
+    "mcd-channel-inverted": ["--keep-rate", "0.5", "--granularity", "channel", "--inverted"],
+    "masksembles": ["--dropout", "masksembles", "--num-masks", "4", "--scale", "2.0"],
+}
+
+
+class TestPlanReplay:
+    @pytest.mark.parametrize("dropout", sorted(REPLAY_DROPOUT))
+    @pytest.mark.parametrize("doc", [mlp_doc, conv32_doc], ids=["mlp", "conv"])
+    def test_the_plan_alone_reproduces_predict(self, tmp_path, doc, dropout):
+        """An emitted plan holds the network and datapath format: with the
+        spec and mask files deleted, predict on the plan's network gives
+        the spec's bits at float and at 8 bits."""
+        (tmp_path / "net.json").write_text(json.dumps(doc()))
+        spec = tmp_path / "spec.json"
+        argv = ["transform", "--network", str(tmp_path / "net.json"), "--out", str(spec)]
+        assert cli.main(argv + ["--seed", "7"] + REPLAY_DROPOUT[dropout]) == 0
+        me = netspec.load_multi_exit(spec)
+        weights = runtime.init_weights(netspec.all_layers(me), seed=5)
+        x = np.random.default_rng(3).normal(size=me.trunk.input_shape).astype(np.float32)
+        n_sample = str(2 * me.n_exit)
+        emitted = {}
+        for bits in (None, 8):
+            out = tmp_path / f"plan{bits}.json"
+            argv = ["emit", "--spec", str(spec), "--n-sample", n_sample, "--engines", "2"]
+            assert cli.main(argv + ["--out", str(out)] + (["--bits", "8"] if bits else [])) == 0
+            want = inference.predict(me, x, 2, weights, 11, runtime.datapath_format(bits, 3))
+            emitted[out] = want.samples
+        for path in tmp_path.glob("*.json"):
+            if path not in emitted:
+                path.unlink()
+        for out, want in emitted.items():
+            plan = emitter.load_plan(out)
+            got = inference.predict(plan.network, x, plan.n_pass, weights, 11, plan.qformat)
+            assert got.samples.tobytes() == want.tobytes()
 
 
 def _write(root: Path, name: str, text: str) -> str:
@@ -1153,6 +1195,40 @@ BAD_COUNTS = [
 ]
 
 
+def _transform_ws(ws: Path, root: Path, *flags: str) -> list[str]:
+    argv = ["transform", "--network", str(ws / "network.json"), "--out", str(root / "me.json")]
+    return argv + list(flags)
+
+
+# (argv from the trained workspace and a scratch dir, the flag or field the
+# message must name)
+BAD_VALUES = [
+    *(
+        pytest.param(
+            lambda ws, t, v=v, run=run: run(ws, t, ["--synth", v]), "--synth", id=f"{verb}-{v}"
+        )
+        for verb, run in (("train", _train_on), ("evaluate", _evaluate_on))
+        for v in ("2,16,0", "3,0,10", "1,16,30", "3,16", "3,16,x")
+    ),
+    *(
+        pytest.param(
+            lambda ws, t, v=v: _transform_ws(ws, t, "--dropout", "masksembles", "--scale", v),
+            "scale",
+            id=f"transform-scale-{v}",
+        )
+        for v in ("inf", "nan")
+    ),
+    *(
+        pytest.param(
+            lambda ws, t, v=v: _train_on(ws, t, ["--synth", "3,16,30", f"--lr={v}"]),
+            "lr",
+            id=f"train-lr-{v}",
+        )
+        for v in ("inf", "nan", "-inf")
+    ),
+]
+
+
 class TestBadCounts:
     @pytest.mark.parametrize("argv, flag, value", BAD_COUNTS)
     def test_exits_2_naming_the_flag_and_writes_nothing(
@@ -1163,6 +1239,17 @@ class TestBadCounts:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, name", BAD_VALUES)
+    def test_bad_values_exit_2_naming_the_field_and_write_nothing(
+        self, ws, tmp_path, capsys, argv, name
+    ):
+        rc = cli.main(argv(ws, tmp_path))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and name in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -50,54 +51,58 @@ def golden_plan():
     )
 
 
+def layer_rows(plan):
+    """(segment, id, kind, placement, format) of each report layer row."""
+    lines = emitter.render_report(plan).splitlines()
+    rows = lines[lines.index("layers:") + 1 : lines.index("dropout units:") - 1]
+    return [tuple(row.split()) for row in rows]
+
+
 class TestLayerRecords:
+    """The report's layer rows, walked from the network the plan holds."""
+
     def test_trunk_is_shared_and_heads_are_replicated(self, mcd_spec):
-        plan = emit(mcd_spec, 6, 1)
-        by_segment = {}
-        for rec in plan.layers:
-            by_segment.setdefault(rec["segment"], []).append(rec)
-        assert all(r["placement"] == "shared" for r in by_segment["trunk"])
+        rows = layer_rows(emit(mcd_spec, 6, 1))
+        assert {r[3] for r in rows if r[0] == "trunk"} == {"shared"}
         for k in (1, 2, 3):
-            assert all(r["placement"] == "replicated" for r in by_segment[f"exit{k}"])
+            assert {r[3] for r in rows if r[0] == f"exit{k}"} == {"replicated"}
 
     def test_records_cover_each_layer_once_in_order(self, mcd_spec):
         plan = emit(mcd_spec, 6, 2)
-        assert [r["id"] for r in plan.layers] == [
+        assert plan.network == mcd_spec
+        assert [r[1] for r in layer_rows(plan)] == [
             layer.id for layer in netspec.all_layers(mcd_spec)
         ]
 
     def test_softmax_is_exempt_from_quantization(self, mcd_spec):
         plan = emit(mcd_spec, 3, 1, qformat=QFormat(8, 3))
-        for rec in plan.layers:
-            if rec["kind"] == "softmax":
-                assert rec["qformat"] is None
-            elif rec["kind"] == "dense":
-                assert rec["qformat"] == {"total_bits": 8, "integer_bits": 3}
+        assert plan.qformat == QFormat(8, 3)
+        for _, _, kind, _, fmt in layer_rows(plan):
+            assert fmt == ("f32" if kind == "softmax" else "q8.3")
 
     def test_unquantized_plan_has_no_formats(self, mcd_spec):
         plan = emit(mcd_spec, 3, 1)
-        assert all(rec["qformat"] is None for rec in plan.layers)
+        assert plan.qformat is None and plan.to_dict()["qformat"] is None
+        assert {r[4] for r in layer_rows(plan)} == {"f32"}
 
     def test_dropout_layers_point_at_their_unit(self, mcd_spec):
         plan = emit(mcd_spec, 3, 1)
-        drops = [r for r in plan.layers if r["kind"] == "dropout_point"]
-        assert {r["dropout_unit"] for r in drops} == {u["site"] for u in plan.dropout_units}
+        drops = [l.id for l in netspec.all_layers(plan.network) if l.kind == "dropout_point"]
+        assert drops == [u["site"] for u in plan.dropout_units]
 
 
 class TestDropoutUnits:
     def test_mcd_units_describe_an_rng(self, mcd_spec):
         plan = emit(mcd_spec, 6, 1)
         assert len(plan.dropout_units) == len(mcd_spec.dropout_sites)
+        assert plan.network.dropout == mcd_spec.dropout
         for unit in plan.dropout_units:
-            assert unit["kind"] == "mcd"
-            assert unit["keep_rate"] == 0.75
+            assert set(unit) == {"site", "exit", "features", "rng"}
             assert unit["rng"] == {
                 "generator": "philox4x64",
                 "key": "blake2b-128(seed|sample_index|site)",
-                "seed": 7,
                 "uniform_bits": 53,
             }
-            assert "masks" not in unit
 
     def test_mcd_feature_counts_match_the_sites(self, mcd_spec):
         plan = emit(mcd_spec, 6, 1)
@@ -109,11 +114,20 @@ class TestDropoutUnits:
         me = build_masksembles_spec(num_masks=4, scale=4.0, seed=7)
         plan = emit(me, 12, 1)
         for unit in plan.dropout_units:
-            assert unit["kind"] == "masksembles"
+            assert set(unit) == {"site", "exit", "features", "mask_select", "masks"}
             assert unit["mask_select"] == "pass_index % num_masks"
             table = generate_masks(unit["features"], 4, 4.0)
             assert unit["masks"] == [[int(v) for v in row] for row in table.masks]
-            assert "rng" not in unit
+
+    def test_no_plan_field_repeats_the_network(self):
+        """The dropout config, layers and strategy live in one place each."""
+        doc = golden_plan().to_dict()
+        assert set(doc) == {
+            "schema_version", "network", "qformat", "n_sample", "n_pass", "mapping",
+            "dropout_units", "estimates", "design", "metrics",
+        }
+        assert doc["network"] == netspec.serialize_multi_exit(golden_plan().network)
+        assert doc["qformat"] == QFormat(8, 3).to_dict()
 
 
 class TestEmitPlan:
@@ -132,8 +146,6 @@ class TestEmitPlan:
             emit(me, 9, 1)  # 3 passes per exit, table has 2 masks
 
     def test_invalid_network_rejected(self, mcd_spec):
-        import dataclasses
-
         swapped = dataclasses.replace(
             mcd_spec, exits=(mcd_spec.exits[1], mcd_spec.exits[0], mcd_spec.exits[2])
         )
@@ -165,15 +177,20 @@ class TestEmitPlan:
         assert full.to_dict()["metrics"]["accuracy"] == 0.9
 
 
-class TestSerialization:
-    def test_json_round_trip(self, mcd_spec):
-        plan = emit(mcd_spec, 6, 2, qformat=QFormat(8, 3))
-        again = emitter.plan_from_json(emitter.plan_to_json(plan))
-        assert again == plan
+def saved_text(plan, path):
+    emitter.save_plan(plan, path)
+    return path.read_text()
 
-    def test_re_emission_is_byte_identical(self):
-        a = emitter.plan_to_json(golden_plan())
-        b = emitter.plan_to_json(golden_plan())
+
+class TestSerialization:
+    def test_json_round_trip(self, tmp_path, mcd_spec):
+        for plan in (emit(mcd_spec, 6, 2, qformat=QFormat(8, 3)), golden_plan()):
+            emitter.save_plan(plan, tmp_path / "plan.json")
+            assert emitter.load_plan(tmp_path / "plan.json") == plan
+
+    def test_re_emission_is_byte_identical(self, tmp_path):
+        a = saved_text(golden_plan(), tmp_path / "a.json")
+        b = saved_text(golden_plan(), tmp_path / "b.json")
         assert a == b
 
     def test_save_load(self, tmp_path, mcd_spec):
@@ -185,17 +202,24 @@ class TestSerialization:
 
     def test_wrong_schema_rejected(self, mcd_spec):
         doc = emit(mcd_spec, 3, 1).to_dict()
-        doc["schema_version"] = 99
+        doc["schema_version"] = 1
         with pytest.raises(EmitError, match="schema"):
             AcceleratorPlan.from_dict(doc)
 
-    def test_matches_the_golden_file(self):
-        assert emitter.plan_to_json(golden_plan()) == GOLDEN.read_text()
+    def test_network_is_read_strictly(self, mcd_spec):
+        doc = emit(mcd_spec, 3, 1).to_dict()
+        doc["network"]["dropout"]["rate"] = 0.25
+        with pytest.raises(ValueError, match="rate"):
+            AcceleratorPlan.from_dict(doc)
+
+    def test_matches_the_golden_file(self, tmp_path):
+        assert saved_text(golden_plan(), tmp_path / "plan.json") == GOLDEN.read_text()
 
     def test_golden_file_parses(self):
         plan = emitter.load_plan(GOLDEN)
-        assert plan.strategy == "hybrid"
+        assert plan.mapping["strategy"] == "hybrid"
         assert plan.n_pass == 2
+        assert plan.network == build_masksembles_spec(num_masks=2, scale=2.0, seed=7)
         assert json.loads(GOLDEN.read_text())["schema_version"] == emitter.SCHEMA_VERSION
 
 
@@ -203,7 +227,7 @@ class TestRenderReport:
     def test_layout_sections(self, mcd_spec):
         text = emitter.render_report(emit(mcd_spec, 6, 2, qformat=QFormat(8, 3)))
         lines = text.splitlines()
-        assert lines[0] == "accelerator plan (schema 1)"
+        assert lines[0] == "accelerator plan (schema 2)"
         assert lines[1] == "strategy: hybrid (2 engine(s), 3 round(s))"
         assert lines[2] == "samples per inference: 6 (3 exit(s) x 2 pass(es))"
         assert "layers:" in lines
@@ -220,6 +244,13 @@ class TestRenderReport:
         text = emitter.render_report(emit(mcd_spec, 3, 1))
         assert "uniform53(philox(key(seed=7, sample, 'exit1/drop0')))" in text
         assert "y[f] = 0 if u[f] > 0.75 else x[f] * 0.75" in text
+
+    def test_inverted_mcd_pseudocode_scales_by_the_inverse(self):
+        me = build_mcd_spec()
+        me = dataclasses.replace(me, dropout=dataclasses.replace(me.dropout, inverted=True))
+        text = emitter.render_report(emit(me, 3, 1))
+        assert text.count("y[f] = 0 if u[f] > 0.75 else x[f] * (1 / 0.75)\n") == 3
+        assert "x[f] * 0.75" not in text
 
     def test_masksembles_pseudocode(self):
         me = build_masksembles_spec(num_masks=4, scale=4.0, seed=7)

@@ -1,14 +1,18 @@
 """The README walkthrough as a test: every `$ mcexit ...` transcript runs
-through cli.main in order and must print the lines the README shows, and
-the library snippet must run as written."""
+through cli.main in order and must print the lines the README shows, the
+abbreviated plan report must match the one emit writes, and the library
+snippet must run as written."""
 
 import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 from mcexit import cli, explorer
 
@@ -47,13 +51,40 @@ def test_the_walkthrough_covers_every_verb():
     assert verbs == ["transform", "train", "evaluate", "map", "emit", "explore"]
 
 
-def test_every_transcript_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
-    write_inputs(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    for command, shown in transcripts():
-        code = cli.main(shlex.split(command)[1:])
-        printed = capsys.readouterr().out.splitlines()
-        assert (code, printed) == (0, shown), command
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The walkthrough's directory and each transcript's (exit code,
+    printed lines), run in README order."""
+    root = tmp_path_factory.mktemp("walkthrough")
+    write_inputs(root)
+    results, cwd = [], os.getcwd()
+    os.chdir(root)
+    try:
+        for command, _ in transcripts():
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                code = cli.main(shlex.split(command)[1:])
+            results.append((code, sink.getvalue().splitlines()))
+    finally:
+        os.chdir(cwd)
+    return root, results
+
+
+def test_every_transcript_prints_what_the_readme_shows(walkthrough):
+    _, results = walkthrough
+    for (command, shown), result in zip(transcripts(), results, strict=True):
+        assert result == (0, shown), command
+
+
+def test_the_abbreviated_report_is_the_emitted_one(walkthrough):
+    """Each line of the README's report block but "..." appears, in order,
+    in the plan.txt the walkthrough's emit writes."""
+    root, _ = walkthrough
+    (block,) = [b for b in blocks("text") if b.startswith("accelerator plan")]
+    written = iter((root / "plan.txt").read_text().splitlines())
+    for line in block.splitlines():
+        if line.strip() != "...":
+            assert line in written, line
 
 
 def test_library_snippet_runs_as_written(tmp_path, monkeypatch):

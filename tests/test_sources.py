@@ -1,6 +1,7 @@
 """Checks on the source files themselves: no module imports a name it
-never uses, and every mcexit name the benchmark in bench/ reaches still
-exists, so a deletion that would break the benchmark fails here first."""
+never uses or defines a private name that no source file references, and
+every mcexit name the benchmark in bench/ reaches still exists, so a
+deletion that would break the benchmark fails here first."""
 
 import ast
 import importlib
@@ -44,6 +45,35 @@ def test_no_module_imports_a_name_it_never_uses(path):
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def module_level_names(tree: ast.Module) -> set[str]:
+    """Names a module's top-level statements define or assign."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_private_module_name_is_referenced():
+    """A module-level `_name` in src/mcexit that no source file reads, by
+    name or as an attribute, is a dead helper."""
+    private, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        for name in module_level_names(tree):
+            if name.startswith("_") and not name.startswith("__"):
+                private[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert {name: where for name, where in private.items() if name not in used} == {}
 
 
 def bench_references(path: Path) -> set[tuple[str, str]]:

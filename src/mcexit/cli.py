@@ -50,10 +50,10 @@ class InfeasibleError(RuntimeError):
 
 
 def _load_data(args: argparse.Namespace, me: netspec.MultiExitSpec) -> Dataset:
-    """The --dataset or --synth data, whose labels must each name one of
-    the classes of me."""
+    """The --dataset or --synth data, whose inputs must have me's input
+    shape and whose labels must each name one of the classes of me."""
     if getattr(args, "dataset", None):
-        data = load_dataset(args.dataset)
+        flag, data = "--dataset", load_dataset(args.dataset)
     elif getattr(args, "synth", None):
         try:
             classes, features, count = (int(p) for p in args.synth.split(","))
@@ -63,9 +63,15 @@ def _load_data(args: argparse.Namespace, me: netspec.MultiExitSpec) -> Dataset:
             raise ValueError(
                 f"--synth needs classes >= 2, features >= 2 and count >= 1, got {args.synth}"
             )
+        flag = "--synth"
         data = make_blobs(count=count, classes=classes, dim=features, seed=args.data_seed)
     else:
         raise ValueError("provide --dataset FILE or --synth classes,features,count")
+    if data.features.shape[1:] != me.trunk.input_shape:
+        raise ValueError(
+            f"{flag} inputs are shaped {data.features.shape[1:]},"
+            f" but the spec takes {me.trunk.input_shape}"
+        )
     if (err := label_error(data, me.class_count)) is not None:
         raise err
     return data
@@ -141,12 +147,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     weights = train.train_toy(me, data, cfg)
     runtime.save_weights(weights, args.out)
 
-    final = me.exits[-1]
-    depth = netspec.attach_depth(me, final.attach_after)
-    path = list(me.trunk.layers[: depth + 1]) + list(final.head_layers)
+    table = inference.step_table(me)  # the final exit attaches deepest
     out = data.features
-    for layer in path:
-        out = runtime.forward_batch(layer, out, weights)
+    for step in (*table.trunk, *table.heads[-1].steps):
+        out = runtime.forward_batch(step, out, weights)
     acc = int(np.count_nonzero(np.argmax(out, axis=1) == data.labels)) / len(data)
     tensors = sum(len(named) for named in weights.values())
     print(f"wrote {args.out} ({tensors} tensor(s))")

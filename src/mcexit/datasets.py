@@ -33,10 +33,6 @@ class Dataset:
         if len(self.features) != len(self.labels):
             raise ValueError("features and labels must have equal length")
 
-    @property
-    def class_count(self) -> int:
-        return int(self.labels.max()) + 1
-
     def __len__(self) -> int:
         return len(self.labels)
 

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .documents import field_names, fields
+from .documents import field_names, fields, typed
 
 DROPOUT_KINDS = ("mcd", "masksembles")
 GRANULARITIES = ("element", "channel")
@@ -99,7 +99,8 @@ class DropoutConfig:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "DropoutConfig":
-        return cls(**fields(doc, "dropout config", field_names(cls), ("kind",)))
+        doc = fields(doc, "dropout config", field_names(cls), ("kind",))
+        return cls(**typed(doc, "dropout config", cls))
 
 
 def stream_key(seed: int, sample_index: int, layer_id: str) -> int:

@@ -96,27 +96,26 @@ class AcceleratorPlan:
 
 def _dropout_unit_records(me: MultiExitSpec) -> list[dict[str, Any]]:
     """Per site, what network.dropout does not say: the masked width and
-    either the RNG keying rule or the mask table."""
+    either the RNG keying rule or the mask table, read off the step table."""
     if me.dropout is None:
         return []
-    tables = inference.site_mask_sets(me) if me.dropout.kind == "masksembles" else {}
     records: list[dict[str, Any]] = []
-    for exit_index, site_id in me.dropout_sites:
-        rec: dict[str, Any] = {
-            "site": site_id,
-            "exit": exit_index,
-            "features": inference.site_feature_count(me, exit_index, site_id),
-        }
-        if me.dropout.kind == "mcd":
-            rec["rng"] = {
-                "generator": "philox4x64",
-                "key": "blake2b-128(seed|sample_index|site)",
-                "uniform_bits": 53,
-            }
-        else:
-            rec["mask_select"] = "pass_index % num_masks"
-            rec["masks"] = [[int(v) for v in row] for row in tables[site_id].masks]
-        records.append(rec)
+    for exit_index, head in enumerate(inference.step_table(me).heads, 1):
+        for step, mask_set in zip(head.steps, head.masks):
+            if step.kind != "dropout_point":
+                continue
+            rec: dict[str, Any] = {"site": step.id, "exit": exit_index}
+            rec["features"] = step.out_shape[0]  # a dropout point's shape is its input's
+            if me.dropout.kind == "mcd":
+                rec["rng"] = {
+                    "generator": "philox4x64",
+                    "key": "blake2b-128(seed|sample_index|site)",
+                    "uniform_bits": 53,
+                }
+            else:
+                rec["mask_select"] = "pass_index % num_masks"
+                rec["masks"] = [[int(v) for v in row] for row in mask_set.masks]
+            records.append(rec)
     return records
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from . import emitter, inference, mapping, metrics, netspec, runtime, train
@@ -112,21 +112,7 @@ class DesignPoint:
         return replace(self, mapping_engines=1, threshold=None).key()
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "dropout_kind": self.dropout_kind,
-            "dropout_param": self.dropout_param,
-            "n_exit": self.n_exit,
-            "n_pass": self.n_pass,
-            "bitwidth": self.bitwidth,
-            "channel_fraction": self.channel_fraction,
-            "mapping_engines": self.mapping_engines,
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Any) -> "DesignPoint":
-        names = field_names(cls)
-        return cls(**fields(doc, "design point", names, sorted(names - {"threshold"})))
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -200,6 +186,13 @@ class EvaluationSettings:
     n_bins: int = 15
 
     def __post_init__(self) -> None:
+        for key in ("depth", "integer_bits", "epochs", "batch", "n_bins"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"settings key {key!r} must be >= 1, got {getattr(self, key)}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(
+                f"settings key 'test_fraction' must be in (0, 1), got {self.test_fraction}"
+            )
         if self.exit_mode not in inference.EXIT_MODES:
             raise ValueError(f"exit_mode must be one of {inference.EXIT_MODES}")
 

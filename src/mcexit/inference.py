@@ -13,11 +13,12 @@ for all its MC-dropout sites (dropout.stream_prefixes). Every head stops
 before its terminal softmax: predict and the dataset calls run one
 softmax over all exits' logits, early exit one per exit it decides at.
 
-A spec's step table (_table), resolved on its first call and kept on the
-spec, holds everything that depends on the spec alone: each layer's
+A spec's step table (step_table), resolved on its first call and kept on
+the spec, holds everything that depends on the spec alone: each layer's
 runtime.Step, attach depths, grid flags, mask tables and each MC-dropout
 site's key suffixes. A call checks its input shape against it and then
-runs only the kernels.
+runs only the kernels. The trainer, the FLOP model and the emitted plan
+read the same table.
 
 On a fixed-point datapath each value is quantized once, where it leaves
 the grid: the executor tracks whether the current activation is on the
@@ -95,7 +96,7 @@ class ExitDecision:
 
 def site_feature_count(me: MultiExitSpec, exit_index: int, site_id: str) -> int:
     """Width of the masked axis at a dropout site (channels for rank-3)."""
-    for step in _table(me, me.trunk.input_shape).heads[exit_index - 1].steps:
+    for step in step_table(me).heads[exit_index - 1].steps:
         if step.id == site_id:
             return int(step.out_shape[0])  # a dropout point's shape is its input's
     raise ValueError(f"no dropout site {site_id!r} in exit {exit_index}")
@@ -103,7 +104,7 @@ def site_feature_count(me: MultiExitSpec, exit_index: int, site_id: str) -> int:
 
 def site_mask_sets(me: MultiExitSpec) -> dict[str, MaskSet]:
     """Deterministic mask tables for every masksembles dropout site."""
-    heads = _table(me, me.trunk.input_shape).heads
+    heads = step_table(me).heads
     return {s.id: m for h in heads for s, m in zip(h.steps, h.masks) if m is not None}
 
 
@@ -199,6 +200,12 @@ def _table(me: MultiExitSpec, input_shape: tuple[int, ...]) -> _Table:
         table = _resolve(me, input_shape)
         object.__setattr__(me, "_table", table)
     return table
+
+
+def step_table(me: MultiExitSpec) -> _Table:
+    """me's step table for its own input shape, resolved on the first
+    inference, training or FLOP-count call and kept on the spec."""
+    return _table(me, me.trunk.input_shape)
 
 
 def _trunk(
@@ -325,7 +332,7 @@ def run_exit_samples(
     if ex.attach_after not in cached:
         raise KeyError(f"no cached feature for attach point {ex.attach_after!r}")
     feature = np.asarray(cached[ex.attach_after])[None]
-    head = _table(me, me.trunk.input_shape).heads[exit_index - 1]
+    head = step_table(me).heads[exit_index - 1]
     if feature.shape[1:] != head.in_shape:
         head = _resolve_head(me, exit_index, feature.shape[1:])
     # a caller's cache may come from another datapath, so requantize it

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -44,13 +44,7 @@ class HardwareModel:
         fields(self.dropout_unit_cost, "dropout_unit_cost", ("rng_lut", "mask_rom_bram"))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "ops_per_cycle_per_engine": self.ops_per_cycle_per_engine,
-            "clock_mhz": self.clock_mhz,
-            "engine_cost": dict(self.engine_cost),
-            "budget": dict(self.budget),
-            "dropout_unit_cost": dict(self.dropout_unit_cost),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Any) -> "HardwareModel":

@@ -11,7 +11,7 @@ explorer at all the thresholds of one set of samples in one call.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -45,7 +45,8 @@ class FlopReport:
 
 
 def chain_flops(layers: Sequence[LayerSpec], in_shape: tuple[int, ...]) -> int:
-    """FLOPs of running layers one after another on an input of in_shape."""
+    """FLOPs of running layers one after another on an input of in_shape,
+    as for the plain network the explorer measures a design point against."""
     total = 0
     for layer in layers:
         total += netspec.flops_of(layer, in_shape)
@@ -54,18 +55,19 @@ def chain_flops(layers: Sequence[LayerSpec], in_shape: tuple[int, ...]) -> int:
 
 
 def count_flops(me: MultiExitSpec) -> FlopReport:
-    """Static FLOP split of a multi-exit spec.
+    """Static FLOP split of a multi-exit spec: the Step.flops of its step
+    table (inference.step_table), which the executor charges a FlopCounter.
 
     The trunk is counted up to the deepest attach point, which is exactly
     how far the single cached pass runs. Each exit head is counted from
     its attach feature, including any trunk layers that were copied into
     the head by deep dropout insertion.
     """
-    trunk = me.trunk.layers[: netspec.deepest_attach(me) + 1]
-    per_exit = tuple(
-        chain_flops(ex.head_layers, netspec.attach_shape(me, ex.attach_after)) for ex in me.exits
+    table = inference.step_table(me)
+    return FlopReport(
+        flop_main=sum(step.flops for step in table.trunk),
+        per_exit=tuple(sum(step.flops for step in head.steps) for head in table.heads),
     )
-    return FlopReport(flop_main=int(chain_flops(trunk, me.trunk.input_shape)), per_exit=per_exit)
 
 
 def cost_single_exit(report: FlopReport, n_sample: int) -> int:
@@ -242,16 +244,9 @@ class MetricsReport:
     flops_fraction_early_exit: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "accuracy": self.accuracy,
-            "ece": self.ece,
-            "ape": self.ape,
-            "flops_fraction": self.flops_fraction,
-            "n_sample": self.n_sample,
-        }
-        if self.flops_fraction_early_exit is not None:
-            out["flops_fraction_early_exit"] = self.flops_fraction_early_exit
-        return out
+        """The fields that are not None: the early-exit fraction is None
+        without a threshold."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def write_csv(path: str | Path, rows: Sequence[Mapping[str, Any]], fields: Sequence[str]) -> None:

@@ -31,7 +31,6 @@ LAYER_KINDS = (
 LEARNABLE_KINDS = ("conv2d", "dense")
 POOL_KINDS = ("max_pool", "avg_pool")
 
-_TAIL_MARK = "/tail/"
 _GLOBAL_WINDOW = "global"
 
 
@@ -526,21 +525,6 @@ def place_exits(net: NetworkSpec) -> MultiExitSpec:
 # dropout insertion
 
 
-def _strip_dropout(me: MultiExitSpec) -> MultiExitSpec:
-    """Undo a previous insert_dropout: remove dropout points and return
-    spilled trunk copies to their attach points."""
-    exits = []
-    for ex in me.exits:
-        head = [l for l in ex.head_layers if l.kind != "dropout_point"]
-        attach = ex.attach_after
-        tail = [l for l in head if _TAIL_MARK in l.id]
-        if tail:
-            attach = tail[-1].id.split(_TAIL_MARK, 1)[1]
-            head = [l for l in head if _TAIL_MARK not in l.id]
-        exits.append(replace(ex, attach_after=attach, head_layers=tuple(head)))
-    return replace(me, exits=tuple(exits), dropout=None)
-
-
 def insert_dropout(me: MultiExitSpec, cfg: DropoutConfig, depth: int) -> MultiExitSpec:
     """Place a dropout point in front of each of the `depth` learnable
     layers nearest every exit, walking from the exit toward the input.
@@ -548,13 +532,14 @@ def insert_dropout(me: MultiExitSpec, cfg: DropoutConfig, depth: int) -> MultiEx
     Sites beyond the head spill into the trunk segment feeding that exit:
     the affected trunk layers are copied into the head (ids prefixed with
     the exit name) and the attach point moves up to the copied segment's
-    input, so the shared trunk itself stays deterministic. Re-running on
-    an already transformed spec first strips the previous insertion, which
-    makes the operation idempotent for a fixed (cfg, depth).
+    input, so the shared trunk itself stays deterministic. me must have no
+    dropout yet: a spec that already has a dropout config or sites raises
+    ValueError.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1: a Bayesian exit needs at least one dropout layer")
-    me = _strip_dropout(me)
+    if me.dropout is not None or any(l.kind == "dropout_point" for l in all_layers(me)):
+        raise ValueError("spec already has dropout; insert_dropout takes one without")
 
     new_exits: list[ExitSpec] = []
     for ex in me.exits:
@@ -590,7 +575,7 @@ def insert_dropout(me: MultiExitSpec, cfg: DropoutConfig, depth: int) -> MultiEx
                     copied.append(LayerSpec(id="", kind="dropout_point"))
                 copied.append(
                     LayerSpec(
-                        id=f"exit{ex.exit_index}{_TAIL_MARK}{src.id}",
+                        id=f"exit{ex.exit_index}/tail/{src.id}",
                         kind=src.kind,
                         params=dict(src.params),
                     )

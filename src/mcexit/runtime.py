@@ -22,14 +22,14 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import netspec
-from .documents import field_names, fields, read_json, write_json
+from .documents import field_names, fields, read_json, typed, write_json
 from .dropout import derive_seed, keyed_generator
 from .netspec import LayerSpec, ShapeMismatchError
 
@@ -70,10 +70,6 @@ class QFormat:
         object.__setattr__(self, "_span", 2**self.total_bits)
 
     @property
-    def frac_bits(self) -> int:
-        return self.total_bits - self.integer_bits
-
-    @property
     def step(self) -> float:
         return self._step
 
@@ -82,16 +78,12 @@ class QFormat:
         return self._hi * self._step
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "total_bits": self.total_bits,
-            "integer_bits": self.integer_bits,
-            "mode": self.mode,
-            "saturating": self.saturating,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Any) -> "QFormat":
-        return cls(**fields(doc, "qformat", field_names(cls), ("total_bits", "integer_bits")))
+        doc = fields(doc, "qformat", field_names(cls), ("total_bits", "integer_bits"))
+        return cls(**typed(doc, "qformat", cls))
 
 
 def datapath_format(bits: int | None, integer_bits: int) -> QFormat | None:
@@ -402,14 +394,6 @@ def read_only(store: WeightStore) -> WeightStore:
     return store
 
 
-def _fans(layer: LayerSpec) -> tuple[int, int]:
-    if layer.kind == "dense":
-        return layer.params["in_features"], layer.params["out_features"]
-    p = layer.params
-    rf = p["kernel_h"] * p["kernel_w"]
-    return p["in_channels"] * rf, p["out_channels"] * rf
-
-
 def _weight_shape(layer: LayerSpec) -> tuple[int, ...]:
     if layer.kind == "dense":
         return (layer.params["out_features"], layer.params["in_features"])
@@ -428,11 +412,12 @@ def init_weights(layers: Iterable[LayerSpec], seed: int) -> WeightStore:
     for layer in layers:
         if layer.kind not in netspec.LEARNABLE_KINDS:
             continue
-        fan_in, fan_out = _fans(layer)
+        shape = _weight_shape(layer)  # (out, in, kernel...): fans count kernel taps
+        fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         gen = keyed_generator(derive_seed(seed, "init", layer.id))
-        w = gen.uniform(-bound, bound, size=_weight_shape(layer)).astype(np.float32)
-        b = np.zeros(_weight_shape(layer)[0], dtype=np.float32)
+        w = gen.uniform(-bound, bound, size=shape).astype(np.float32)
+        b = np.zeros(shape[0], dtype=np.float32)
         store[layer.id] = {"weights": w, "bias": b}
     return read_only(store)
 

@@ -19,16 +19,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import netspec
+from . import inference, netspec
 from .datasets import Dataset
-from .dropout import derive_seed, generate_masks, keyed_generator
+from .dropout import derive_seed, keyed_generator
 from .netspec import LayerSpec, MultiExitSpec
 from .runtime import WeightStore, init_weights, read_only
 
 SUPPORTED_KINDS = ("dense", "relu", "softmax", "flatten", "max_pool", "avg_pool", "dropout_point")
 
 
-class TrainingError(RuntimeError):
+class TrainingError(ValueError):
     """Raised when a spec uses layers the toy trainer cannot differentiate."""
 
 
@@ -118,41 +118,34 @@ class _Pool:
 
 
 class TrainStep:
-    """What every batch of one spec needs, worked out once: the class
-    count, the trunk layers the batch runs, each pool's geometry and index
-    arrays, each dropout site's width, and for masksembles each site's
-    mask table as float32. Building one checks that the spec is
-    trainable."""
+    """What every batch of one spec needs, read once off its step table
+    (inference.step_table): the class count, the trunk layers the batch
+    runs, each pool's geometry and index arrays at its input width, each
+    dropout site's width, and for masksembles each site's mask table as
+    float32. Building one checks that the spec is trainable."""
 
     def __init__(self, me: MultiExitSpec) -> None:
         _check_trainable(me)
         self.me = me
-        self.eye = np.eye(me.class_count, dtype=np.float32)  # one-hot rows by label
-        self.trunk = me.trunk.layers[: netspec.deepest_attach(me) + 1]
+        table = inference.step_table(me)
+        classes = table.heads[-1].steps[-1].out_shape[0]
+        self.eye = np.eye(classes, dtype=np.float32)  # one-hot rows by label
+        self.trunk = me.trunk.layers[: len(table.trunk)]
         self.pools: dict[str, _Pool] = {}
         self.sites: dict[str, int] = {}
-        shape = me.trunk.input_shape
-        shapes: dict[str | None, tuple[int, ...]] = {None: shape}
-        for layer in self.trunk:
-            shape = shapes[layer.id] = self._shape_after(layer, shape)
-        for ex in me.exits:
-            shape = shapes[ex.attach_after]
-            for layer in ex.head_layers[:-1]:
-                if layer.kind == "dropout_point":
-                    self.sites[layer.id] = int(shape[0])
-                shape = self._shape_after(layer, shape)
-        cfg = me.dropout
-        self.tables: dict[str, np.ndarray] = {}
-        if cfg is not None and cfg.kind == "masksembles":
-            self.tables = {
-                site: generate_masks(f, cfg.num_masks, cfg.scale).masks.astype(np.float32)
-                for site, f in self.sites.items()
-            }
-
-    def _shape_after(self, layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
-        if layer.kind in ("max_pool", "avg_pool"):
-            self.pools[layer.id] = _Pool(layer, shape[0])
-        return netspec.output_shape(layer, shape)
+        chains = [(self.trunk, me.trunk.input_shape, table.trunk)]
+        chains += [(ex.head_layers, h.in_shape, h.steps) for ex, h in zip(me.exits, table.heads)]
+        for layers, shape, steps in chains:
+            for layer, step in zip(layers, steps):
+                if step.kind in netspec.POOL_KINDS:
+                    self.pools[step.id] = _Pool(layer, shape[0])
+                elif step.kind == "dropout_point":
+                    self.sites[step.id] = int(shape[0])
+                shape = step.out_shape
+        self.tables = {
+            site: mask_set.masks.astype(np.float32)
+            for site, mask_set in inference.site_mask_sets(me).items()
+        }
 
 
 def _forward_layer(

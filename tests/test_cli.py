@@ -1229,6 +1229,67 @@ BAD_VALUES = [
 ]
 
 
+def _train_conv_spec(root: Path) -> list[str]:
+    """train on a transformed 3x32x32 conv spec, with data of that shape."""
+    me = netspec.place_exits(netspec.parse_network(conv32_doc()))
+    me = netspec.insert_dropout(me, DropoutConfig(kind="mcd", keep_rate=0.75), 1)
+    netspec.save_multi_exit(me, root / "me.json")
+    data = datasets.Dataset(np.zeros((2, 3, 32, 32), np.float32), np.array([0, 1]))
+    datasets.save_dataset(data, root / "d.json")
+    argv = ["train", "--spec", str(root / "me.json"), "--dataset", str(root / "d.json")]
+    return argv + ["--out", str(root / "w.json")]
+
+
+def _train_dropout(ws: Path, root: Path, **dropout) -> list[str]:
+    """train on the workspace spec with its dropout config keys overridden."""
+    doc = json.loads((ws / "multi_exit.json").read_text())
+    doc["dropout"].update(dropout)
+    spec = _write(root, "me.json", json.dumps(doc))
+    return ["train", "--spec", spec, "--synth", "3,16,30", "--out", str(root / "w.json")]
+
+
+# (argv from the trained workspace and a scratch dir, after writing its
+# input files there, and what the message must name)
+BAD_INPUTS = [
+    pytest.param(
+        lambda ws, t: _train_conv_spec(t), ["toy trainer", "rank-1"], id="train-conv-spec"
+    ),
+    pytest.param(
+        lambda ws, t: _train_on(ws, t, ["--synth", "3,8,30"]),
+        ["--synth", "(8,)", "(16,)"],
+        id="train-synth-of-another-width",
+    ),
+    pytest.param(
+        lambda ws, t: _evaluate(ws, t, json.dumps({"features": [[0.5] * 8], "labels": [0]})),
+        ["--dataset", "(8,)", "(16,)"],
+        id="evaluate-dataset-of-another-width",
+    ),
+    pytest.param(
+        lambda ws, t: _train_dropout(ws, t, keep_rate="0.5"),
+        ["dropout config", "keep_rate", "number"],
+        id="dropout-keep-rate-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _train_dropout(ws, t, inverted="yes"),
+        ["dropout config", "inverted", "true or false"],
+        id="dropout-inverted-is-a-string",
+    ),
+    *(
+        pytest.param(
+            lambda ws, t, key=key, value=value: _explore(
+                t, settings={key: value}, grids={"mcd_rates": [0.25], "bitwidths": [8]}
+            ),
+            ["settings", repr(key)],
+            id=f"settings-{key}-{value}",
+        )
+        for key, value in (
+            ("n_bins", 0), ("depth", 0), ("integer_bits", 0), ("epochs", 0), ("batch", 0),
+            ("test_fraction", 1.5),
+        )
+    ),
+]
+
+
 class TestBadCounts:
     @pytest.mark.parametrize("argv, flag, value", BAD_COUNTS)
     def test_exits_2_naming_the_flag_and_writes_nothing(
@@ -1252,6 +1313,29 @@ class TestBadCounts:
         assert captured.err.startswith("error: ") and name in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, names", BAD_INPUTS)
+    def test_bad_inputs_exit_2_naming_the_key_before_anything_trains(
+        self, ws, tmp_path, capsys, monkeypatch, argv, names
+    ):
+        """Data of the wrong shape, a spec the trainer cannot run, a
+        mistyped dropout config key and an out-of-range settings key are
+        each bad usage, found before any training or file writing."""
+        args = argv(ws, tmp_path)
+        inputs = sorted(tmp_path.rglob("*"))
+
+        def no_training(*args):
+            raise AssertionError("trained a model")
+
+        monkeypatch.setattr(train, "train_models", no_training)
+        rc = cli.main(args)
+        captured = capsys.readouterr()
+        assert rc == 2, captured.err
+        assert captured.err.startswith("error: ")
+        for name in names:
+            assert name in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == inputs
 
     @pytest.mark.parametrize("verb", ["map", "emit"])
     @pytest.mark.parametrize("engines", ["0", "13"])

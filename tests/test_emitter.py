@@ -212,6 +212,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="rate"):
             AcceleratorPlan.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value", [("total_bits", "8"), ("integer_bits", 3.0), ("saturating", "yes")]
+    )
+    def test_qformat_values_are_type_checked(self, mcd_spec, key, value):
+        doc = emit(mcd_spec, 3, 1, qformat=QFormat(8, 3)).to_dict()
+        doc["qformat"][key] = value
+        with pytest.raises(ValueError, match=f"qformat key '{key}'"):
+            AcceleratorPlan.from_dict(doc)
+
     def test_matches_the_golden_file(self, tmp_path):
         assert saved_text(golden_plan(), tmp_path / "plan.json") == GOLDEN.read_text()
 

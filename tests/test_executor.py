@@ -23,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 import mcexit
 from conftest import mlp_doc, rng
-from mcexit import dropout, inference, netspec, runtime
+from mcexit import dropout, inference, metrics, netspec, runtime, train
 from mcexit.dropout import DropoutConfig, RngStream, generate_masks, mcd_forward
 from mcexit.netspec import ExitSpec, LayerSpec, MultiExitSpec
 from mcexit.runtime import QFormat
@@ -367,6 +367,9 @@ def test_one_predict_resolves_the_spec_for_every_later_call(net, dropout_case, m
         for mode in inference.EXIT_MODES:
             inference.confidence_exit(me, inputs[2], 0.5, mode, weights, n_pass, 3, q)
         inference.ensemble_dataset(me, weights, inputs, n_pass, 4, q)
+    metrics.count_flops(me)  # the FLOP model and the trainer read the same table
+    if net == "mlp":  # the trainer takes rank-1 inputs only
+        train.TrainStep(me)
     assert not counts
     # a spec made with dataclasses.replace has no table until its own first call
     other = dataclasses.replace(me)

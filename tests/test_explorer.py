@@ -54,8 +54,9 @@ class TestDesignPoint:
         assert make_point(n_exit=3, n_pass=4).n_sample == 12
 
     def test_round_trip(self):
+        """to_dict holds every field, so the point it came from is rebuilt."""
         dp = make_point(bitwidth=8, threshold=0.7)
-        assert DesignPoint.from_dict(dp.to_dict()) == dp
+        assert DesignPoint(**dp.to_dict()) == dp
 
     def test_key_is_stable_and_injective_over_fields(self):
         a, b = make_point(), make_point(n_pass=3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conftest import build_mcd_spec, lenet_doc, mlp_doc
@@ -218,12 +220,18 @@ class TestInsertDropout:
             netspec.insert_dropout(me, cfg, 3)
 
     def test_idempotent_reinsertion(self):
+        """Inserting into a spec that already has dropout is rejected, not
+        stripped and redone; the plain spec still gives the same result."""
         base = netspec.place_exits(netspec.parse_network(mlp_doc()))
         cfg1 = DropoutConfig(kind="mcd", keep_rate=0.5, seed=1)
         cfg2 = DropoutConfig(kind="masksembles", num_masks=4, scale=2.0, seed=2)
         once = netspec.insert_dropout(base, cfg2, 1)
-        twice = netspec.insert_dropout(netspec.insert_dropout(base, cfg1, 2), cfg2, 1)
-        assert once == twice
+        assert netspec.insert_dropout(base, cfg2, 1) == once
+        for spec in (once, netspec.insert_dropout(base, cfg1, 2)):
+            with pytest.raises(ValueError, match="already has dropout"):
+                netspec.insert_dropout(spec, cfg2, 1)
+            with pytest.raises(ValueError, match="already has dropout"):
+                netspec.insert_dropout(dataclasses.replace(spec, dropout=None), cfg2, 1)
 
     def test_flop_counts_include_spilled_segment(self):
         shallow = build_mcd_spec(depth=1)

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -27,21 +26,10 @@ import numpy as np
 
 from . import emitter, explorer, inference, mapping, metrics, netspec, runtime, train
 from .datasets import Dataset, label_error, load_dataset, make_blobs, noise_like
-from .documents import ParseError, fields, read_json, write_json
+from .documents import fields, load, read_json, typed, write_json
 from .dropout import DropoutConfig, derive_seed
 from .metrics import MetricsReport
 
-CONFIG_KEYS = (
-    "network",
-    "dataset",
-    "grids",
-    "constraints",
-    "priority",
-    "settings",
-    "seed",
-    "noise_count",
-    "hardware",
-)
 REPORT_KEYS = ("accuracy", "ece", "ape", "flops_fraction", "n_sample")  # what emit reads
 
 
@@ -112,6 +100,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     me = netspec.insert_dropout(me, cfg, args.depth)
+    if problems := netspec.validate(me):  # a transformed spec can fail only on its mask count
+        raise ValueError(f"--num-masks: {problems[0]}")
 
     if args.dropout == "masksembles":
         masks_out = Path(args.masks_out or Path(args.out).with_suffix(".masks.json"))
@@ -228,37 +218,42 @@ def _config_dataset(doc: Any) -> Dataset:
     fields(source, "dataset config", ("path", "blobs"))
     if "path" in source:
         return load_dataset(source["path"])
-    blob_args = inspect.signature(make_blobs).parameters
-    return make_blobs(**fields(source["blobs"], "dataset blobs", blob_args, ("count", "classes")))
+    return load(make_blobs, source["blobs"], "dataset blobs")
+
+
+@dataclass(frozen=True)
+class ExploreConfig:
+    """An explore config file; network is a path or a network document, and
+    each nested document is read by the reader of the type it fills."""
+
+    network: Any
+    dataset: Any
+    constraints: Any
+    priority: Any
+    grids: Any = field(default_factory=dict)
+    settings: Any = field(default_factory=dict)
+    seed: int = 0
+    noise_count: int = 64
+    hardware: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.noise_count < 1:
+            raise ValueError(f"config key 'noise_count' must be >= 1, got {self.noise_count}")
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    required = ("network", "dataset", "constraints", "priority")
-    config = fields(read_json(args.config), "config", CONFIG_KEYS, required)
-    network = config["network"]
-    if isinstance(network, str):
-        net = netspec.load_network(network)
-    else:
-        net = netspec.parse_network(network)
-    data = _config_dataset(config["dataset"])
-    grids = explorer.ExplorationGrids.from_dict(config.get("grids", {}))
-    constraints = explorer.Constraints.from_dict(config["constraints"])
-    priority = explorer.Priority.from_dict(config["priority"])
-    settings = explorer.EvaluationSettings.from_dict(config.get("settings", {}))
-    hardware = config.get("hardware")
-    if hardware is not None and not isinstance(hardware, str):
-        raise ParseError(f"config hardware must be a file path, got {type(hardware).__name__}")
-    hw = mapping.load_hardware_model(hardware)
-    for key in ("seed", "noise_count"):
-        value = config.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"config key {key!r} must be an integer, got {type(value).__name__}")
-    noise_count = config.get("noise_count", 64)
-    if noise_count < 1:
-        raise ParseError(f"config key 'noise_count' must be >= 1, got {noise_count}")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    config = load(ExploreConfig, read_json(args.config), "config")
+    read = netspec.load_network if isinstance(config.network, str) else netspec.parse_network
+    net = read(config.network)
+    data = _config_dataset(config.dataset)
+    grids = explorer.ExplorationGrids.from_dict(config.grids)
+    constraints = explorer.Constraints.from_dict(config.constraints)
+    priority = explorer.Priority.from_dict(config.priority)
+    settings = explorer.EvaluationSettings.from_dict(config.settings)
+    hw = mapping.load_hardware_model(config.hardware)
+    seed = args.seed if args.seed is not None else config.seed
 
     outcome = explorer.explore(
         net,
@@ -269,7 +264,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         hw,
         settings,
         seed,
-        noise_count=noise_count,
+        noise_count=config.noise_count,
         jobs=args.jobs,
     )
 
@@ -389,6 +384,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     metrics_report = None
     if args.metrics:
         doc = fields(read_json(args.metrics), "metrics report", required=REPORT_KEYS)
+        doc = typed(doc, "metrics report", MetricsReport)
         metrics_report = MetricsReport(**{key: doc[key] for key in REPORT_KEYS})
 
     accel = emitter.emit_plan(

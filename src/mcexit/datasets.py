@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .documents import ParseError, field_names, fields, read_json
+from .documents import ParseError, fields, parameters, read_json
 from .dropout import derive_seed
 
 
@@ -163,7 +163,7 @@ def save_dataset(data: Dataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> Dataset:
     """A dataset file; it must hold at least one input, since the sample
     shape is read from its features."""
-    doc = fields(read_json(path), "dataset", field_names(Dataset), ("features", "labels"))
+    doc = fields(read_json(path), "dataset", parameters(Dataset), ("features", "labels"))
     features = np.asarray(doc["features"], dtype=np.float32)
     if not features.size:
         raise ParseError(f"dataset {path}: features holds no input values")

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .documents import field_names, fields, typed
+from .documents import load
 
 DROPOUT_KINDS = ("mcd", "masksembles")
 GRANULARITIES = ("element", "channel")
@@ -99,8 +99,7 @@ class DropoutConfig:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "DropoutConfig":
-        doc = fields(doc, "dropout config", field_names(cls), ("kind",))
-        return cls(**typed(doc, "dropout config", cls))
+        return load(cls, doc, "dropout config")
 
 
 def stream_key(seed: int, sample_index: int, layer_id: str) -> int:

@@ -12,12 +12,12 @@ The JSON form is byte-stable for identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 from . import inference, netspec
-from .documents import field_names, fields, read_json, write_json
+from .documents import load, read_json, write_json
 from .dropout import DropoutConfig
 from .mapping import (
     RESOURCE_KEYS,
@@ -72,26 +72,13 @@ class AcceleratorPlan:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "AcceleratorPlan":
-        names = field_names(cls)
-        doc = fields(doc, "plan", names, sorted(names - {"design", "metrics"}))
-        if doc["schema_version"] != SCHEMA_VERSION:
+        plan = load(cls, doc, "plan")
+        if plan.schema_version != SCHEMA_VERSION:
             raise EmitError(
-                f"unsupported plan schema {doc['schema_version']!r},"
-                f" expected {SCHEMA_VERSION}"
+                f"unsupported plan schema {plan.schema_version!r}, expected {SCHEMA_VERSION}"
             )
-        q = doc["qformat"]
-        return cls(
-            schema_version=SCHEMA_VERSION,
-            network=netspec.parse_multi_exit(doc["network"]),
-            qformat=QFormat.from_dict(q) if q is not None else None,
-            n_sample=doc["n_sample"],
-            n_pass=doc["n_pass"],
-            mapping=dict(doc["mapping"]),
-            dropout_units=tuple(dict(rec) for rec in doc["dropout_units"]),
-            estimates=dict(doc["estimates"]),
-            design=dict(doc["design"]) if "design" in doc else None,
-            metrics=dict(doc["metrics"]) if "metrics" in doc else None,
-        )
+        q = None if plan.qformat is None else QFormat.from_dict(plan.qformat)
+        return replace(plan, network=netspec.parse_multi_exit(plan.network), qformat=q)
 
 
 def _dropout_unit_records(me: MultiExitSpec) -> list[dict[str, Any]]:

@@ -26,11 +26,11 @@ import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from . import emitter, inference, mapping, metrics, netspec, runtime, train
 from .datasets import Dataset, label_error, noise_like, train_test_split
-from .documents import ParseError, array, field_names, fields, typed
+from .documents import load
 from .dropout import DropoutConfig, derive_seed
 from .mapping import HardwareModel, LatencyEstimate
 from .metrics import MetricsReport
@@ -134,8 +134,7 @@ class ExplorationGrids:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "ExplorationGrids":
-        doc = typed(fields(doc, "grid", field_names(cls)), "grid", cls)
-        return cls(**{k: tuple(v) for k, v in doc.items()})
+        return load(cls, doc, "grid")
 
 
 def enumerate_design_points(grids: ExplorationGrids) -> list[DesignPoint]:
@@ -198,7 +197,7 @@ class EvaluationSettings:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "EvaluationSettings":
-        return cls(**typed(fields(doc, "settings", field_names(cls)), "settings", cls))
+        return load(cls, doc, "settings")
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,7 @@ class Constraints:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Constraints":
-        return cls(**typed(fields(doc, "constraint", field_names(cls)), "constraint", cls))
+        return load(cls, doc, "constraint")
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ class Priority:
     the next metric."""
 
     metrics: tuple[str, ...]
-    tolerances: Mapping[str, float] = field(default_factory=dict)
+    tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.metrics:
@@ -249,23 +248,13 @@ class Priority:
         unknown = set(self.tolerances) - set(METRIC_NAMES)
         if unknown:
             raise ValueError(f"unknown priority tolerances: {sorted(unknown)}")
-        for name, value in self.tolerances.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(
-                    f"priority tolerance {name!r} must be a number, got {type(value).__name__}"
-                )
         tol = dict(_DEFAULT_TOLERANCE)
         tol.update(self.tolerances)
         object.__setattr__(self, "tolerances", tol)
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Priority":
-        doc = fields(doc, "priority", field_names(cls), ("metrics",))
-        metrics = array(doc["metrics"], "priority metrics")
-        if not all(isinstance(name, str) for name in metrics):
-            raise ParseError(f"priority metrics must be metric names, got {metrics}")
-        tolerances = fields(doc.get("tolerances", {}), "priority tolerances")
-        return cls(metrics=tuple(metrics), tolerances=tolerances)
+        return load(cls, doc, "priority")
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .documents import field_names, fields, read_json, write_json
+from .documents import fields, load, read_json, write_json
 from .metrics import FlopReport
 from .netspec import MultiExitSpec
 
@@ -32,9 +32,13 @@ class HardwareModel:
     clock_mhz: float
     engine_cost: dict[str, float]
     budget: dict[str, float]
-    dropout_unit_cost: dict[str, float]
+    dropout_unit_cost: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # every number is held as a float, so a file that writes 200 reads as 200.0
+        for name, v in list(vars(self).items()):
+            v = {k: float(x) for k, x in v.items()} if isinstance(v, dict) else float(v)
+            object.__setattr__(self, name, v)
         if self.ops_per_cycle_per_engine <= 0 or self.clock_mhz <= 0:
             raise ValueError("throughput and clock must be positive")
         for name, table in (("engine_cost", self.engine_cost), ("budget", self.budget)):
@@ -48,17 +52,7 @@ class HardwareModel:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "HardwareModel":
-        required = ("ops_per_cycle_per_engine", "clock_mhz", "engine_cost", "budget")
-        doc = fields(doc, "hardware model", field_names(cls), required)
-        tables = {
-            name: {k: float(v) for k, v in fields(doc.get(name, {}), name).items()}
-            for name in ("engine_cost", "budget", "dropout_unit_cost")
-        }
-        return cls(
-            ops_per_cycle_per_engine=float(doc["ops_per_cycle_per_engine"]),
-            clock_mhz=float(doc["clock_mhz"]),
-            **tables,
-        )
+        return load(cls, doc, "hardware model")
 
 
 def default_hardware_model() -> HardwareModel:

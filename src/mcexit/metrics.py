@@ -91,7 +91,8 @@ def reduction_rate(alpha: float, n_sample: int, n_exit: int) -> float:
     """Ratio of naive to cached cost, (1 + a) / (1/N_sample + a/N_exit).
 
     Evaluated as N_sample*N_exit*(1+a) / (N_exit + a*N_sample) so the
-    a = 0 limit returns exactly n_sample.
+    a = 0 limit returns exactly n_sample; a = inf (an empty trunk) returns
+    its limit, n_exit.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -100,6 +101,8 @@ def reduction_rate(alpha: float, n_sample: int, n_exit: int) -> float:
     if n_exit == n_sample:
         # the ratio collapses algebraically to n_sample; skip the rounding
         return float(n_sample)
+    if alpha == np.inf:
+        return float(n_exit)
     return n_sample * n_exit * (1.0 + alpha) / (n_exit + alpha * n_sample)
 
 

@@ -10,12 +10,13 @@ structure; tensors live in the runtime module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .documents import ParseError, array, field_names, fields, read_json, write_json
+from .documents import ParseError, array, fields, parameters, read_json, typed, write_json
 from .dropout import DropoutConfig
 
 LAYER_KINDS = (
@@ -92,7 +93,7 @@ class MultiExitSpec:
                     sites.append((ex.exit_index, layer.id))
         return tuple(sites)
 
-    @property
+    @functools.cached_property  # kept in __dict__, which equality and replace do not read
     def class_count(self) -> int:
         final = self.exits[-1]
         feature = attach_shape(self, final.attach_after)
@@ -175,7 +176,7 @@ def normalize_layer(layer: LayerSpec) -> LayerSpec:
 
 
 def parse_layer(doc: Any) -> LayerSpec:
-    doc = fields(doc, "layer", field_names(LayerSpec), ("id", "kind"))
+    doc = fields(doc, "layer", parameters(LayerSpec), ("id", "kind"))
     if not isinstance(doc["id"], str) or not doc["id"]:
         raise ParseError("layer id must be a non-empty string")
     return normalize_layer(LayerSpec(id=doc["id"], kind=doc["kind"], params=doc.get("params", {})))
@@ -338,15 +339,21 @@ def deepest_attach(me: MultiExitSpec) -> int:
 def parse_network(doc: Any) -> NetworkSpec:
     if isinstance(doc, Mapping) and {"exits", "dropout", "mask_file"} & set(doc):
         raise ParseError("document describes a multi-exit network; use parse_multi_exit")
-    doc = fields(doc, "network", field_names(NetworkSpec), ("input_shape", "layers"))
+    net = _parse_trunk(doc)
+    if not net.layers:
+        raise ParseError("network requires at least one layer")
+    return net
+
+
+def _parse_trunk(doc: Any) -> NetworkSpec:
+    """A network document whose layers may be empty, as a multi-exit trunk's may."""
+    doc = fields(doc, "network", parameters(NetworkSpec), ("input_shape", "layers"))
     shape = tuple(array(doc["input_shape"], "network input_shape"))
     if not shape or not all(isinstance(d, int) and d >= 1 for d in shape):
         raise ParseError("input_shape must be a non-empty list of positive integers")
     if len(shape) not in (1, 3):
         raise ParseError(f"input_shape must be rank 1 or 3, got {shape}")
     layers = tuple(parse_layer(item) for item in array(doc["layers"], "network layers"))
-    if not layers:
-        raise ParseError("network requires at least one layer")
     seen: set[str] = set()
     for layer in layers:
         if layer.id in seen:
@@ -369,16 +376,16 @@ def parse_multi_exit(doc: Any) -> MultiExitSpec:
     doc = fields(doc, "multi-exit", allowed, ("input_shape", "layers", "exits"))
     if not array(doc["exits"], "multi-exit exits"):
         raise ParseError("multi-exit document requires a non-empty exits list")
-    trunk = parse_network({"input_shape": doc["input_shape"], "layers": doc["layers"]})
+    trunk = _parse_trunk({"input_shape": doc["input_shape"], "layers": doc["layers"]})
     exits = []
     for item in doc["exits"]:
-        item = fields(item, "exit", field_names(ExitSpec), ("exit_index", "head_layers"))
-        head = array(item["head_layers"], "exit head_layers")
+        item = fields(item, "exit", parameters(ExitSpec), ("exit_index", "head_layers"))
+        item = typed(item, "exit", ExitSpec)
         exits.append(
             ExitSpec(
-                exit_index=int(item["exit_index"]),
+                exit_index=item["exit_index"],
                 attach_after=item.get("attach_after"),
-                head_layers=tuple(parse_layer(l) for l in head),
+                head_layers=tuple(parse_layer(l) for l in item["head_layers"]),
             )
         )
     dropout = None
@@ -649,8 +656,8 @@ def validate(me: MultiExitSpec) -> list[Diagnostic]:
     classes: int | None = None
     for ex in me.exits:
         try:
-            feature = attach_shape(me, ex.attach_after)
-            out = infer_shapes(ex.head_layers, feature)[-1]
+            shapes = infer_shapes(ex.head_layers, attach_shape(me, ex.attach_after))
+            out = shapes[-1]
         except (ShapeMismatchError, ValueError) as err:
             problems.append(Diagnostic("head-shape", ex.attach_after, str(err)))
             continue
@@ -672,6 +679,11 @@ def validate(me: MultiExitSpec) -> list[Diagnostic]:
                     f"exit {ex.exit_index} yields {int(out[0])} classes, expected {classes}",
                 )
             )
+        masks = me.dropout.num_masks if me.dropout is not None else None
+        for layer, shape in zip(ex.head_layers, shapes):
+            if masks is not None and layer.kind == "dropout_point" and shape[0] < masks:
+                message = f"num_masks {masks} exceeds the site's {shape[0]} features"
+                problems.append(Diagnostic("mask-count", layer.id, message))
 
     if me.dropout is not None:
         shallowest = depths[0]

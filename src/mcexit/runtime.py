@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import netspec
-from .documents import field_names, fields, read_json, typed, write_json
+from .documents import fields, load, read_json, write_json
 from .dropout import derive_seed, keyed_generator
 from .netspec import LayerSpec, ShapeMismatchError
 
@@ -82,8 +82,7 @@ class QFormat:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "QFormat":
-        doc = fields(doc, "qformat", field_names(cls), ("total_bits", "integer_bits"))
-        return cls(**typed(doc, "qformat", cls))
+        return load(cls, doc, "qformat")
 
 
 def datapath_format(bits: int | None, integer_bits: int) -> QFormat | None:
@@ -438,8 +437,16 @@ def zero_weights(layers: Iterable[LayerSpec]) -> WeightStore:
 # weights file format: JSON manifest plus little-endian float32 blob
 
 
-_MANIFEST_KEYS = ("format", "version", "blob", "tensors")
-_TENSOR_KEYS = ("layer_id", "tensor_name", "shape", "dtype", "offset", "length")
+@dataclass(frozen=True)
+class _Tensor:
+    """One manifest entry: a tensor and where its bytes sit in the blob."""
+
+    layer_id: str
+    tensor_name: str
+    shape: tuple[int, ...]
+    dtype: str
+    offset: int
+    length: int
 
 
 def save_weights(store: WeightStore, manifest_path: str | Path) -> None:
@@ -453,16 +460,7 @@ def save_weights(store: WeightStore, manifest_path: str | Path) -> None:
     for layer_id, named in store.items():
         for name, arr in named.items():
             data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            tensors.append(
-                {
-                    "layer_id": layer_id,
-                    "tensor_name": name,
-                    "shape": list(arr.shape),
-                    "dtype": "f32le",
-                    "offset": offset,
-                    "length": len(data),
-                }
-            )
+            tensors.append(asdict(_Tensor(layer_id, name, arr.shape, "f32le", offset, len(data))))
             chunks.append(data)
             offset += len(data)
     manifest = {"format": "weights", "version": 1, "blob": blob_path.name, "tensors": tensors}
@@ -472,35 +470,30 @@ def save_weights(store: WeightStore, manifest_path: str | Path) -> None:
 
 def load_weights(manifest_path: str | Path) -> WeightStore:
     """Read a manifest+blob pair back into read-only arrays; rejects
-    offset or length mismatches."""
+    offset or length mismatches and a tensor that holds NaN or infinity."""
     manifest_path = Path(manifest_path)
-    manifest = fields(read_json(manifest_path), "manifest", _MANIFEST_KEYS, ("blob", "tensors"))
+    keys = ("format", "version", "blob", "tensors")
+    manifest = fields(read_json(manifest_path), "manifest", keys, ("blob", "tensors"))
     blob = (manifest_path.parent / manifest["blob"]).read_bytes()
     store: WeightStore = {}
     expected_offset = 0
     for entry in manifest["tensors"]:
-        entry = fields(entry, "manifest tensor", _TENSOR_KEYS, _TENSOR_KEYS)
-        if entry["dtype"] != "f32le":
-            raise ValueError(f"unsupported dtype {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
-        length = int(entry["length"])
-        offset = int(entry["offset"])
+        t = load(_Tensor, entry, "manifest tensor")
+        name, offset, length = f"tensor {t.layer_id}/{t.tensor_name}", t.offset, t.length
+        if t.dtype != "f32le":
+            raise ValueError(f"unsupported dtype {t.dtype!r}")
         if offset != expected_offset:
             raise ValueError(
-                f"tensor {entry['layer_id']}/{entry['tensor_name']}: offset {offset} "
-                f"does not continue the previous tensor at {expected_offset}"
+                f"{name}: offset {offset} does not continue the previous tensor at {expected_offset}"
             )
-        if length != 4 * math.prod(shape):
-            raise ValueError(
-                f"tensor {entry['layer_id']}/{entry['tensor_name']}: length {length} "
-                f"does not match shape {shape}"
-            )
+        if length != 4 * math.prod(t.shape):
+            raise ValueError(f"{name}: length {length} does not match shape {t.shape}")
         if offset + length > len(blob):
             raise ValueError("manifest addresses bytes beyond the end of the blob")
-        arr = np.frombuffer(blob[offset : offset + length], dtype="<f4").reshape(shape)
-        store.setdefault(entry["layer_id"], {})[entry["tensor_name"]] = arr.astype(
-            np.float32, copy=True
-        )
+        arr = np.frombuffer(blob[offset : offset + length], dtype="<f4").reshape(t.shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds a NaN or infinite value")
+        store.setdefault(t.layer_id, {})[t.tensor_name] = arr.astype(np.float32, copy=True)
         expected_offset = offset + length
     if expected_offset != len(blob):
         raise ValueError(

@@ -995,6 +995,34 @@ class TestPlanReplay:
             assert got.samples.tobytes() == want.tobytes()
 
 
+class TestEmptyTrunk:
+    def test_every_verb_reads_the_spec_transform_writes(self, tmp_path):
+        """A network that is only a classifier transforms into one exit and
+        a trunk with no layers, which train, evaluate, map and emit read;
+        with no trunk to share, caching saves nothing: reduction_rate 1."""
+        doc = {
+            "input_shape": [16],
+            "layers": [
+                {"id": "fc", "kind": "dense", "params": {"in_features": 16, "out_features": 3}},
+                {"id": "sm", "kind": "softmax"},
+            ],
+        }
+        (tmp_path / "net.json").write_text(json.dumps(doc))
+        spec, weights, report = (str(tmp_path / n) for n in ("me.json", "w.json", "report.json"))
+        data = ["--synth", "3,16,30"]
+        for argv in (
+            ["transform", "--network", str(tmp_path / "net.json"), "--out", spec],
+            ["train", "--spec", spec, *data, "--epochs", "5", "--out", weights],
+            ["evaluate", "--spec", spec, "--weights", weights, *data, "--out", report],
+            ["map", "--spec", spec, "--n-sample", "4", "--out", str(tmp_path / "map.json")],
+            ["emit", "--spec", spec, "--n-sample", "4", "--engines", "2",
+             "--metrics", report, "--out", str(tmp_path / "plan.json")],
+        ):
+            assert cli.main(argv) == 0, argv
+        assert json.loads((tmp_path / "me.json").read_text())["layers"] == []
+        assert json.loads((tmp_path / "report.json").read_text())["reduction_rate"] == 1.0
+
+
 def _write(root: Path, name: str, text: str) -> str:
     path = root / name
     path.write_text(text)
@@ -1042,7 +1070,58 @@ def _evaluate_on(ws: Path, root: Path, data: list[str]) -> list[str]:
     return argv + data + ["--out", str(root / "r.json")]
 
 
+def _ws_file(ws: Path, root: Path, name: str, edit) -> str:
+    """A copy in root of the workspace JSON file name, passed through edit."""
+    doc = json.loads((ws / name).read_text())
+    edit(doc)
+    return _write(root, f"bad_{name}", json.dumps(doc))
+
+
+def _map_hardware(ws: Path, root: Path, **overrides) -> list[str]:
+    """map on the workspace spec with a hardware file of write_hardware's
+    values, its keys overridden."""
+    doc = json.loads(write_hardware(root).read_text())
+    hw = _write(root, "bad_hw.json", json.dumps({**doc, **overrides}))
+    argv = ["map", "--spec", str(ws / "multi_exit.json"), "--n-sample", "6"]
+    return argv + ["--hardware", hw, "--out", str(root / "m.json")]
+
+
+def _map_spec(ws: Path, root: Path, edit) -> list[str]:
+    """map on a copy of the workspace spec passed through edit."""
+    spec = _ws_file(ws, root, "multi_exit.json", edit)
+    return ["map", "--spec", spec, "--n-sample", "6", "--out", str(root / "m.json")]
+
+
+def _evaluate_weights(ws: Path, root: Path, edit) -> list[str]:
+    """evaluate on a copy of the workspace weights manifest passed through
+    edit, next to a copy of its blob."""
+    (root / "weights.bin").write_bytes((ws / "weights.bin").read_bytes())
+    manifest = _ws_file(ws, root, "weights.json", edit)
+    argv = ["evaluate", "--spec", str(ws / "multi_exit.json"), "--weights", manifest]
+    return argv + ["--synth", "3,16,30", "--out", str(root / "r.json")]
+
+
+def _evaluate_nan_weights(ws: Path, root: Path) -> list[str]:
+    """evaluate on the workspace weights with one NaN in fc's weights."""
+    store = runtime.load_weights(ws / "weights.json")
+    store = {lid: {name: arr.copy() for name, arr in named.items()} for lid, named in store.items()}
+    store["fc"]["weights"][0, 0] = np.nan
+    runtime.save_weights(store, root / "nan.json")
+    argv = ["evaluate", "--spec", str(ws / "multi_exit.json"), "--weights", str(root / "nan.json")]
+    return argv + ["--synth", "3,16,30", "--out", str(root / "r.json")]
+
+
+def _set_tensor(index: int, **values):
+    return lambda doc: doc["tensors"][index].update(values)
+
+
+def _set_exit(**values):
+    return lambda doc: doc["exits"][0].update(values)
+
+
 BLOBS = {"count": 60, "classes": 3, "dim": 16, "seed": 5}
+REPORT = {"accuracy": 0.5, "ece": 0.1, "ape": 0.2, "flops_fraction": 0.4, "n_sample": 6}
+MASKS_20 = {"kind": "masksembles", "num_masks": 20, "scale": 2.0, "seed": 0}
 
 # (argv from the trained workspace and a scratch dir, what the message must name)
 MALFORMED = [
@@ -1116,7 +1195,7 @@ MALFORMED = [
     ),
     pytest.param(
         lambda ws, t: _explore(t, hardware={"luts": 1}),
-        ["config", "hardware", "path"],
+        ["config", "hardware", "string"],
         id="hardware-is-an-object",
     ),
     pytest.param(
@@ -1166,6 +1245,75 @@ MALFORMED = [
         lambda ws, t: _evaluate_on(ws, t, ["--synth", "3,16,30", "--noise-count", "0"]),
         ["--noise-count", ">= 1"],
         id="evaluate-noise-count-is-0",
+    ),
+    pytest.param(
+        lambda ws, t: _map_hardware(ws, t, clock_mhz=True),
+        ["hardware model", "clock_mhz", "number", "bool"],
+        id="hardware-clock-is-true",
+    ),
+    pytest.param(
+        lambda ws, t: _map_hardware(ws, t, ops_per_cycle_per_engine="128"),
+        ["hardware model", "ops_per_cycle_per_engine", "number", "str"],
+        id="hardware-throughput-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _map_hardware(
+            ws, t, engine_cost={"dsp": "320", "bram": 5.0, "lut": 100.0, "ff": 200.0}
+        ),
+        ["hardware model", "engine_cost", "'dsp'", "number"],
+        id="hardware-engine-cost-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _emit_metrics(ws, t, json.dumps({**REPORT, "accuracy": "high"}))
+        + ["--report", str(t / "plan.txt")],
+        ["metrics report", "accuracy", "number"],
+        id="metrics-accuracy-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _map_spec(ws, t, _set_exit(exit_index="1")),
+        ["exit", "exit_index", "integer", "str"],
+        id="spec-exit-index-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _map_spec(ws, t, _set_exit(exit_index=1.0)),
+        ["exit", "exit_index", "integer", "float"],
+        id="spec-exit-index-is-a-float",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, dataset={"blobs": {**BLOBS, "count": "90"}}),
+        ["dataset blobs", "count", "integer"],
+        id="blobs-count-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, dataset={"blobs": {**BLOBS, "radius": "4"}}),
+        ["dataset blobs", "radius", "number"],
+        id="blobs-radius-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _evaluate_weights(ws, t, _set_tensor(0, shape=["24", "16"])),
+        ["manifest tensor", "shape", "integer"],
+        id="manifest-shape-holds-strings",
+    ),
+    pytest.param(
+        lambda ws, t: _evaluate_weights(ws, t, _set_tensor(0, length="1536")),
+        ["manifest tensor", "length", "integer"],
+        id="manifest-length-is-a-string",
+    ),
+    pytest.param(
+        lambda ws, t: _explore(t, constraints={"min_accuracy": float("nan")}),
+        ["config.json", "NaN"],
+        id="constraint-is-nan",
+    ),
+    pytest.param(_evaluate_nan_weights, ["tensor fc/weights", "NaN"], id="weights-hold-nan"),
+    pytest.param(
+        lambda ws, t: _transform_ws(ws, t, "--dropout", "masksembles", "--num-masks", "20"),
+        ["--num-masks", "exit1/drop0", "num_masks 20", "12 features"],
+        id="transform-num-masks-past-the-site-width",
+    ),
+    pytest.param(
+        lambda ws, t: _map_spec(ws, t, lambda doc: doc.update(dropout=MASKS_20)),
+        ["exit1/drop0", "num_masks 20", "12 features"],
+        id="spec-num-masks-past-the-site-width",
     ),
 ]
 
@@ -1395,16 +1543,29 @@ class TestBadCounts:
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, names", MALFORMED)
     def test_exits_2_naming_the_document_and_key(self, ws, tmp_path, capsys, argv, names):
-        rc = cli.main(argv(ws, tmp_path))
+        """Each malformed input exits 2 with a message naming it, and no
+        file is written beside the inputs."""
+        args = argv(ws, tmp_path)
+        inputs = sorted(tmp_path.rglob("*"))
+        rc = cli.main(args)
         err = capsys.readouterr().err
         assert rc == 2, err
         assert "Traceback" not in err
         assert err.startswith("error: ")
         for name in names:
             assert name in err
+        assert sorted(tmp_path.rglob("*")) == inputs
 
 
 class TestFileFormats:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_nan_and_infinity_are_neither_read_nor_written(self, tmp_path, literal):
+        path = _write(tmp_path, "doc.json", f'{{"lr": {literal}}}')
+        with pytest.raises(documents.ParseError, match=f"doc.json: .*{literal} is not a JSON number"):
+            documents.read_json(path)
+        with pytest.raises(ValueError):
+            documents.dumps({"lr": float(literal.lower().replace("infinity", "inf"))})
+
     def test_every_json_file_written_is_in_the_one_format(self, ws, explore_out, tmp_path):
         """Each file the verbs and the library writers write is
         documents.dumps of its own content."""

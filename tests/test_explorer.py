@@ -146,6 +146,15 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="n_passes"):
             explorer.enumerate_design_points(ExplorationGrids(n_passes=()))
 
+    def test_grids_from_dict_keeps_values_as_written_in_tuples(self):
+        """An integer scale stays an integer: point keys, and the seeds
+        derived from them, print it as written."""
+        grids = ExplorationGrids.from_dict({"masksembles_scales": [3], "bitwidths": [None, 8]})
+        assert grids.masksembles_scales == (3,) and type(grids.masksembles_scales[0]) is int
+        assert grids.bitwidths == (None, 8)
+        with pytest.raises(ValueError, match="each value of grid key 'bitwidths' must be an integer"):
+            ExplorationGrids.from_dict({"bitwidths": [8.0]})
+
     def test_grids_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             ExplorationGrids.from_dict({"dropout_rates": [0.25]})
@@ -178,11 +187,13 @@ class TestConstraintsAndPriority:
     def test_priority_tolerances_name_metrics_and_hold_numbers(self):
         with pytest.raises(ValueError, match="unknown priority tolerances: \\['acuracy'\\]"):
             Priority(metrics=("accuracy",), tolerances={"acuracy": 0.5})
-        with pytest.raises(ValueError, match="priority tolerance 'ece' must be a number"):
+        with pytest.raises(
+            ValueError, match="priority key 'tolerances' entry 'ece' must be a number"
+        ):
             Priority.from_dict({"metrics": ["ece"], "tolerances": {"ece": "0.1"}})
-        with pytest.raises(ValueError, match="priority tolerances must be a JSON object"):
+        with pytest.raises(ValueError, match="priority key 'tolerances' must be a JSON object"):
             Priority.from_dict({"metrics": ["ece"], "tolerances": [0.1]})
-        with pytest.raises(ValueError, match="priority metrics must be a JSON array"):
+        with pytest.raises(ValueError, match="priority key 'metrics' must be a JSON array"):
             Priority.from_dict({"metrics": "ece"})
 
     def test_constraints_from_dict_checks_value_types(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import build_mcd_spec, build_masksembles_spec
 from mcexit import inference, mapping
-from mcexit.mapping import HardwareModel, build_mapping, default_hardware_model
+from mcexit.mapping import RESOURCE_KEYS, HardwareModel, build_mapping, default_hardware_model
 from mcexit.metrics import FlopReport
 
 
@@ -43,6 +43,15 @@ class TestHardwareModel:
     def test_unknown_dropout_cost_key_rejected(self):
         with pytest.raises(ValueError, match="dropout_unit_cost"):
             toy_hw(dropout_unit_cost={"alu": 1.0})
+
+    def test_from_dict_holds_every_number_as_a_float(self):
+        doc = {**toy_hw().to_dict(), "clock_mhz": 200, "budget": dict.fromkeys(RESOURCE_KEYS, 9)}
+        hw = HardwareModel.from_dict(doc)
+        assert repr(hw.clock_mhz) == "200.0" and hw.budget == dict.fromkeys(RESOURCE_KEYS, 9.0)
+        assert all(type(v) is float for v in hw.budget.values())
+        doc["dropout_unit_cost"] = {"rng_lut": True}
+        with pytest.raises(ValueError, match="'dropout_unit_cost' entry 'rng_lut' must be a number"):
+            HardwareModel.from_dict(doc)
 
     def test_from_dict_rejects_unknown_keys(self):
         doc = toy_hw().to_dict()

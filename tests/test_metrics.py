@@ -111,6 +111,11 @@ class TestReductionRate:
     def test_zero_alpha_limit_is_the_sample_count(self):
         assert metrics.reduction_rate(0.0, 12, 3) == 12.0
 
+    def test_infinite_alpha_limit_is_the_exit_count(self):
+        """An empty trunk (flop_main 0) has alpha inf: nothing is shared."""
+        assert metrics.reduction_rate(float("inf"), 12, 3) == 3.0
+        assert metrics.reduction_rate(float("inf"), 4, 1) == 1.0
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             metrics.reduction_rate(-0.1, 4, 2)

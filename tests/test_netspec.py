@@ -272,7 +272,7 @@ class TestMultiExitSerialization:
         with pytest.raises(ParseError, match="multi-exit exits must be a JSON array, got int"):
             netspec.parse_multi_exit({**doc, "exits": 5})
         doc["exits"][0]["head_layers"] = {"id": "x"}
-        with pytest.raises(ParseError, match="exit head_layers must be a JSON array, got dict"):
+        with pytest.raises(ParseError, match="exit key 'head_layers' must be a JSON array, got dict"):
             netspec.parse_multi_exit(doc)
 
 

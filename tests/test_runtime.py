@@ -394,6 +394,17 @@ class TestWeightStore:
         with pytest.raises(ValueError):
             runtime.load_weights(tmp_path / "w.json")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_naming_it(self, tmp_path, value):
+        layers = [
+            layer({"id": "fc", "kind": "dense", "params": {"in_features": 3, "out_features": 2}})
+        ]
+        store = {"fc": dict(runtime.init_weights(layers, 9)["fc"])}
+        store["fc"]["bias"] = np.array([0.0, value], dtype=np.float32)
+        runtime.save_weights(store, tmp_path / "w.json")
+        with pytest.raises(ValueError, match="tensor fc/bias holds a NaN or infinite value"):
+            runtime.load_weights(tmp_path / "w.json")
+
     def test_zero_weights_give_uniform_softmax(self):
         layers = [
             layer({"id": "fc", "kind": "dense", "params": {"in_features": 5, "out_features": 4}}),

@@ -142,3 +142,44 @@ def test_every_per_layer_row_names_a_traced_function():
     wl = SimpleNamespace(points_failed=0)
     out = run.per_layer(names, tracer, {}, [cycle], [cycle], wl, costs)
     assert list(out) == names
+
+
+def document_reads(tree: ast.Module) -> tuple[list[int], list[tuple[str, bool]]]:
+    """The lines of tree's json.load and json.loads calls, and each
+    from_dict it defines with whether that method calls load."""
+    json_calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.load", "json.loads")
+    ]
+    from_dicts = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "from_dict":
+                called = {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+                from_dicts.append((cls.name, "load" in called))
+    return json_calls, from_dicts
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_document_is_decoded_by_documents_and_read_through_load(path):
+    """documents.loads is the one JSON decoder, the one that refuses NaN
+    and Infinity, and every from_dict builds its type with documents.load."""
+    json_calls, from_dicts = document_reads(parse(path))
+    assert json_calls == [] or path.name == "documents.py"
+    assert [name for name, calls_load in from_dicts if not calls_load] == []
+
+
+def test_the_document_guard_sees_a_stray_decoder_and_a_hand_written_reader():
+    source = """
+import json
+class Spec:
+    @classmethod
+    def from_dict(cls, doc):
+        return cls(**json.loads(doc))
+class Good:
+    @classmethod
+    def from_dict(cls, doc):
+        return load(cls, doc, "good")
+"""
+    assert document_reads(ast.parse(source)) == ([6], [("Spec", False), ("Good", True)])
